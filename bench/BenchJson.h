@@ -14,14 +14,10 @@
 ///       { "name", "ns_per_op", "ops", "commits", "aborts", "median_of",
 ///         "abort_reasons": { ...all nine taxonomy keys... },
 ///         // optional, service benchmarks only:
-///         "exec_mode": "symmetric"|"affine",
 ///         "throughput_ops_per_sec": N,
 ///         "latency_ns": {"p50": N, "p95": N, "p99": N, "p999": N},
 ///         "read_planes": {"snapshot": {"p50","p95","p99","p999","count"},
 ///                         "nt": {...}, "txn": {...}},
-///         // optional, affine-executor benchmarks only:
-///         "affine": {"hops": N, "cross_shard_ops": N,
-///                    "cross_shard_ratio": F, "max_queue_depth": N},
 ///         // optional, overload benchmarks only (implies latency):
 ///         "offered_ops_per_sec": N, "goodput_ops_per_sec": N,
 ///         "shed_rate": F,
@@ -61,21 +57,17 @@
 /// how many group-commit fsync batches the drainer issued, how many redo
 /// records it persisted, how often producers stalled on a full ring, and
 /// how long a fresh store took to replay the run's entire log
-/// (the recovery-time benchmark). v6 added the executor dimension: every kv/* entry now names
-/// the execution mode it ran under (symmetric = any worker transacts
-/// against any shard; affine = the shard-affine executor of DESIGN.md
-/// §11), and affine entries carry the routing telemetry — single-key ops
-/// hopped to their owning worker, multi-key transactions that spanned
-/// foreign shards, the fraction of ops that left their worker's shard
-/// set, and the deepest per-shard mailbox high-water mark. v5 added the
-/// per-plane read-latency split (read_planes), one percentile set plus
-/// sample count per plane; planes the mix never exercised report zeros.
+/// (the recovery-time benchmark). v6 added an executor dimension (a
+/// per-entry execution mode and an affine telemetry block), since removed
+/// with the shard-affine executor. v5 added the per-plane read-latency
+/// split (read_planes), one percentile set plus sample count per plane;
+/// planes the mix never exercised report zeros.
 /// Entries without the optional fields are still valid;
-/// scripts/check_bench_schema.sh enforces that kv/* entries carry
-/// exec_mode and the latency fields, kv/affine/* entries the affine
-/// block, kv/snapshot/* entries the read_planes block, kv/overload/*
-/// entries the overload triple, and kv/durable/* entries the durability
-/// block.
+/// scripts/check_bench_schema.sh enforces that kv/* entries carry the
+/// latency fields, kv/snapshot/* entries the read_planes block,
+/// kv/overload/* entries the overload triple, kv/durable/* entries the
+/// durability block, and net/* entries a throughput equal to their
+/// goodput.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,15 +96,6 @@ struct BenchEntry {
   uint64_t Aborts = 0;
   unsigned MedianOf = 1;
   stm::StatsCounters Counters; ///< Abort-reason histogram source.
-  /// Service benchmarks: which executor ran the entry ("symmetric" or
-  /// "affine"); empty omits the exec_mode field (microbenchmarks).
-  std::string ExecMode;
-  /// Affine-executor routing telemetry. HasAffine gates the affine block.
-  bool HasAffine = false;
-  uint64_t AffineHops = 0;      ///< Single-key ops hopped to their owner.
-  uint64_t CrossShardOps = 0;   ///< Multi-key ops spanning foreign shards.
-  double CrossShardRatio = 0;   ///< (hops + cross) / total routed ops.
-  uint64_t MaxQueueDepth = 0;   ///< Deepest mailbox high-water mark.
   /// Service benchmarks: end-to-end latency percentiles and sustained
   /// throughput. HasLatency gates both optional JSON fields.
   bool HasLatency = false;
@@ -179,16 +162,6 @@ inline void writeBenchJson(const char *Path, const char *Mode,
                  ", \"median_of\": %u,\n     \"abort_reasons\": %s",
                  E.Name.c_str(), E.NsPerOp, E.Ops, E.Commits, E.Aborts,
                  E.MedianOf, stm::renderAbortReasonsJson(E.Counters).c_str());
-    if (!E.ExecMode.empty())
-      std::fprintf(F, ",\n     \"exec_mode\": \"%s\"", E.ExecMode.c_str());
-    if (E.HasAffine)
-      std::fprintf(F,
-                   ",\n     \"affine\": {\"hops\": %" PRIu64
-                   ", \"cross_shard_ops\": %" PRIu64
-                   ", \"cross_shard_ratio\": %.4f, \"max_queue_depth\": %" PRIu64
-                   "}",
-                   E.AffineHops, E.CrossShardOps, E.CrossShardRatio,
-                   E.MaxQueueDepth);
     if (E.HasLatency)
       std::fprintf(F,
                    ",\n     \"throughput_ops_per_sec\": %.0f,\n"

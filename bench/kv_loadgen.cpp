@@ -586,10 +586,12 @@ int main(int argc, char **argv) {
                     R.Offered);
       E.Name = Name;
       E.Ops = R.Done;
-      E.NsPerOp = R.Done ? R.Seconds * 1e9 / double(R.Done) : 0;
+      // Throughput is goodput: shed and rejected answers are completed
+      // responses but not served requests.
+      E.NsPerOp = R.Good ? R.Seconds * 1e9 / double(R.Good) : 0;
       E.HasLatency = true;
       E.Latency = R.Hist.percentiles();
-      E.OpsPerSec = R.Seconds > 0 ? double(R.Done) / R.Seconds : 0;
+      E.OpsPerSec = R.goodput();
       E.HasNet = true;
       E.NetQpsOffered = R.Offered;
       E.NetGoodput = R.goodput();

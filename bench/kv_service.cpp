@@ -24,18 +24,8 @@
 //    scheduling hiccups and abort storms is charged to the tail, which is
 //    what distinguishes a tail-latency harness from a throughput one.
 //
-// Two execution modes (--exec=symmetric|affine):
-//  - symmetric (default): every worker transacts against every shard —
-//    the classic configuration whose record-CAS and contention-manager
-//    traffic stops scaling past ~4 threads (EXPERIMENTS.md §7).
-//  - affine: the shard-affine executor (kv::AffineExec, DESIGN.md §11).
-//    Each shard is owned by one worker; single-key writes on owned shards
-//    run the owned-record fast path under the shard's gate window,
-//    foreign blind writes pipeline through the owner's mailbox (applied
-//    on the owner's next drain), and cross-shard transactions run the
-//    full protocol behind foreign-intent gates. Closed-loop only: hopped
-//    writes complete asynchronously, so an open-loop arrival clock would
-//    attribute the owner's drain cadence to the wrong request's tail.
+// Every worker transacts against every shard through the full record
+// protocol.
 //
 // Latencies go into per-thread log-bucketed histograms (≤3.2% relative
 // error) merged at the end; p50/p95/p99/p99.9 are reported in the table and
@@ -76,7 +66,6 @@
 #include "BenchJson.h"
 #include "ServiceFlags.h"
 
-#include "kv/Affine.h"
 #include "kv/Checkpoint.h"
 #include "kv/Store.h"
 #include "kv/Wal.h"
@@ -138,12 +127,6 @@ struct Mix {
 /// latency split. Write-only and overload-rejected requests carry None.
 enum class ReadPlane { None, Snap, Nt, Txn };
 
-/// Which executor routes operations to the store.
-enum class ExecMode {
-  Symmetric, ///< Any worker transacts against any shard (full protocol).
-  Affine,    ///< Shard-per-worker ownership with owned-record fast paths.
-};
-
 /// What to do when offered load exceeds capacity (open-loop runs only).
 enum class OverloadPolicy {
   None,  ///< Closed-loop / uncontrolled open-loop: no deadline semantics.
@@ -161,7 +144,6 @@ struct RunConfig {
   double Theta = 0.99;
   Mix M;
   double Qps = 0; ///< >0: open-loop at this aggregate arrival rate.
-  ExecMode Exec = ExecMode::Symmetric;
   uint64_t Seed = 2026;
   /// Keys per MGET/SNAP batch read (≤ 64).
   uint32_t MgetKeys = 8;
@@ -201,9 +183,6 @@ struct RunResult {
   uint64_t Shed = 0;     ///< Admission-dropped (already past deadline).
   uint64_t Rejected = 0; ///< Gave up mid-op: Overloaded/DeadlineExceeded.
   uint64_t Good = 0;     ///< Completed within the deadline.
-  /// Affine-executor routing telemetry (ExecMode::Affine runs only).
-  bool HasAffine = false;
-  kv::AffineExec::Metrics Affine;
   /// Durability telemetry plus the recovery-time benchmark (Dur != Off).
   bool HasDurability = false;
   kv::WalStats Wal;
@@ -234,8 +213,8 @@ void waitUntil(Clock::time_point Deadline) {
 class Worker {
 public:
   Worker(kv::Store &S, const RunConfig &C, unsigned Tid,
-         kv::AffineExec *AX = nullptr, kv::Wal *SyncW = nullptr)
-      : S(S), C(C), AX(AX), SyncW(SyncW), Tid(Tid),
+         kv::Wal *SyncW = nullptr)
+      : S(S), C(C), SyncW(SyncW),
         Gen(C.Dist, C.Keys, C.Seed + 0x5bd1e995u * (Tid + 1), C.Theta),
         Ops(C.Seed * 31 + Tid) {}
 
@@ -251,11 +230,6 @@ public:
     double ArrivalNs = 0;
 
     for (uint64_t I = 0; I < C.OpsPerThread; ++I) {
-      // Affine mode: serve any requests other workers hopped onto our
-      // shards before generating our own next op, so mailbox dwell time
-      // is bounded by one service time.
-      if (AX)
-        AX->drain(Tid);
       Clock::time_point IssuedAt;
       if (Open) {
         // Poisson arrivals: exponential inter-arrival times.
@@ -319,19 +293,8 @@ public:
         break;
       }
     }
-    // Hopped writes are pipelined; wait for ours to land before closing
-    // the throughput clock so the measured window covers every op.
-    if (AX)
-      AX->flush(Tid);
     R.Ops = C.OpsPerThread;
     R.Seconds = std::chrono::duration<double>(Clock::now() - Start).count();
-    if (AX) {
-      // Keep serving hops until every worker has finished generating: a
-      // request parked in our mailbox would otherwise never execute and
-      // its issuer would spin forever.
-      AX->clientDone();
-      AX->runUntilQuiet(Tid);
-    }
   }
 
   RunResult R;
@@ -360,35 +323,23 @@ private:
       Word Out;
       for (uint32_t G = 0; G < C.NtGetBatch; ++G) {
         Word Q = G ? Gen.next() : K;
-        if (AX ? AX->get(Tid, Q, Out) : S.get(Q, Out))
+        if (S.get(Q, Out))
           ++R.Hits;
       }
     } else if (P < C.M.Get + C.M.Put) {
-      if (AX)
-        AX->put(Tid, K, V);
-      else
-        S.put(K, V);
+      S.put(K, V);
     } else if (P < C.M.Get + C.M.Put + C.M.Mget) {
       Plane = ReadPlane::Txn;
       Word Keys[64], Out[64];
       for (size_t Q = 0; Q < Batch; ++Q)
         Keys[Q] = Gen.next();
-      if (AX) {
-        AX->multiGet(Tid, Keys, Batch, Out);
-        return true;
-      }
       return Served(S.multiGet(Keys, Batch, Out, B));
     } else if (P < C.M.Get + C.M.Put + C.M.Mget + C.M.Rmw) {
       Word Keys[2] = {K, Gen.next()};
-      if (AX)
-        return AX->rmwAdd(Tid, Keys, 2, 1), true;
       return Served(S.rmwAdd(Keys, 2, 1, B));
     } else if (P < C.M.Get + C.M.Put + C.M.Mget + C.M.Rmw + C.M.Cas) {
       Word Cur;
-      if (AX) {
-        if (AX->get(Tid, K, Cur))
-          AX->cas(Tid, K, Cur, V);
-      } else if (S.get(K, Cur))
+      if (S.get(K, Cur))
         return Served(S.cas(K, Cur, V, B));
     } else {
       // Wait-free snapshot multi-get: never budgeted — there is no retry
@@ -404,9 +355,7 @@ private:
 
   kv::Store &S;
   const RunConfig &C;
-  kv::AffineExec *AX; ///< Non-null in ExecMode::Affine.
-  kv::Wal *SyncW;     ///< Non-null only under --durability=sync.
-  unsigned Tid;
+  kv::Wal *SyncW; ///< Non-null only under --durability=sync.
   KeyGenerator Gen;
   Rng Ops;
   ReadPlane Plane = ReadPlane::None;
@@ -481,15 +430,12 @@ RunResult runService(const RunConfig &C) {
   }
 
   statsReset();
-  std::optional<kv::AffineExec> AX;
-  if (C.Exec == ExecMode::Affine)
-    AX.emplace(S, C.Threads);
   std::vector<Worker> Workers;
   Workers.reserve(C.Threads);
   kv::Wal *SyncW =
       W && C.Dur == kv::DurabilityMode::Sync ? &*W : nullptr;
   for (unsigned T = 0; T < C.Threads; ++T)
-    Workers.emplace_back(S, C, T, AX ? &*AX : nullptr, SyncW);
+    Workers.emplace_back(S, C, T, SyncW);
 
   std::atomic<bool> Go{false};
   Clock::time_point Start{}; // Published by the Go release store below.
@@ -519,10 +465,6 @@ RunResult runService(const RunConfig &C) {
     Total.Good += W.R.Good;
   }
   Total.Counters = statsSnapshot();
-  if (AX) {
-    Total.HasAffine = true;
-    Total.Affine = AX->metrics();
-  }
   if (W) {
     if (CP) {
       CP->stop(); // Before Wal::stop — runOnce needs a live log.
@@ -569,14 +511,6 @@ RunResult runService(const RunConfig &C) {
 BenchEntry toEntry(const RunConfig &C, const RunResult &R) {
   BenchEntry E;
   E.Name = C.Name;
-  E.ExecMode = C.Exec == ExecMode::Affine ? "affine" : "symmetric";
-  if (R.HasAffine) {
-    E.HasAffine = true;
-    E.AffineHops = R.Affine.HopOps;
-    E.CrossShardOps = R.Affine.CrossOps;
-    E.CrossShardRatio = R.Affine.crossRatio();
-    E.MaxQueueDepth = R.Affine.MaxQueueDepth;
-  }
   E.NsPerOp = R.Seconds * 1e9 / double(R.Ops);
   E.Ops = R.Ops;
   E.Commits = R.Counters.TxnCommits;
@@ -639,13 +573,6 @@ void printTable(const std::vector<RunConfig> &Cs,
       std::printf("%s: offered %.0f qps, goodput %.0f ops/s, shed %.2f%%\n",
                   E.Name.c_str(), E.OfferedQps, E.GoodputOpsPerSec,
                   E.ShedRate * 100.0);
-  for (const BenchEntry &E : Es)
-    if (E.HasAffine)
-      std::printf("%s: %" PRIu64 " hops, %" PRIu64
-                  " cross-shard txns (%.2f%% off-shard), max queue depth "
-                  "%" PRIu64 "\n",
-                  E.Name.c_str(), E.AffineHops, E.CrossShardOps,
-                  E.CrossShardRatio * 100.0, E.MaxQueueDepth);
   for (const BenchEntry &E : Es)
     if (E.HasDurability)
       std::printf("%s: %s acks, %" PRIu64 " wal records in %" PRIu64
@@ -758,14 +685,6 @@ std::vector<RunConfig> suiteConfigs(bool Smoke) {
       C.NtGetBatch = C.MgetKeys;
     return C;
   };
-  // Affine-executor entry: same closed-loop workload as kv/closed_tN but
-  // routed through the shard-affine executor, so the pair isolates the
-  // executor as the only variable (EXPERIMENTS.md affine-vs-symmetric).
-  auto MkAffine = [&](std::string Name, unsigned Threads) {
-    RunConfig C = Mk(std::move(Name), Threads, 0);
-    C.Exec = ExecMode::Affine;
-    return C;
-  };
   // Durable entries: the same closed-loop workload as kv/closed_tN with
   // the redo log attached, so the off/async pair isolates the log path as
   // the only variable. Sync entries run fewer ops — every mutation waits
@@ -800,8 +719,6 @@ std::vector<RunConfig> suiteConfigs(bool Smoke) {
   if (Smoke) {
     Cs.push_back(Mk("kv/closed_t1", 1, 0));
     Cs.push_back(Mk("kv/closed_t2", 2, 0));
-    Cs.push_back(MkAffine("kv/affine/closed_t1", 1));
-    Cs.push_back(MkAffine("kv/affine/closed_t2", 2));
     Cs.push_back(Mk("kv/open_t2_q20k", 2, 20000)); // TSan-safe arrival rate.
     Cs.push_back(
         MkOver("kv/overload/shed_t2", 2, "kv/closed_t2", OverloadPolicy::Shed));
@@ -816,10 +733,6 @@ std::vector<RunConfig> suiteConfigs(bool Smoke) {
     Cs.push_back(Mk("kv/closed_t4", 4, 0));
     Cs.push_back(Mk("kv/closed_t8", 8, 0));
     Cs.push_back(Mk("kv/closed_t16", 16, 0));
-    Cs.push_back(MkAffine("kv/affine/closed_t1", 1));
-    Cs.push_back(MkAffine("kv/affine/closed_t4", 4));
-    Cs.push_back(MkAffine("kv/affine/closed_t8", 8));
-    Cs.push_back(MkAffine("kv/affine/closed_t16", 16));
     Cs.push_back(Mk("kv/open_t4_q400k", 4, 400000));
     Cs.push_back(MkOver("kv/overload/queue_t4", 4, "kv/closed_t4",
                         OverloadPolicy::Queue));
@@ -1049,16 +962,6 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "kv_service: --dist must be zipf or uniform\n");
         return 2;
       }
-    } else if ((V = Val("--exec="))) {
-      if (!std::strcmp(V, "affine"))
-        Single.Exec = ExecMode::Affine;
-      else if (!std::strcmp(V, "symmetric"))
-        Single.Exec = ExecMode::Symmetric;
-      else {
-        std::fprintf(stderr,
-                     "kv_service: --exec must be affine or symmetric\n");
-        return 2;
-      }
     } else if ((V = Val("--theta=")))
       Single.Theta = std::atof(V);
     else if ((V = Val("--qps=")))
@@ -1115,7 +1018,6 @@ int main(int argc, char **argv) {
           stderr,
           "usage: kv_service [--suite|--smoke] [--json=PATH]\n"
           "       kv_service [--threads=N] [--keys=N] [--shards=N] [--ops=N]\n"
-          "                  [--exec=symmetric|affine]\n"
           "                  [--dist=zipf|uniform] [--theta=T] [--qps=Q]\n"
           "                  [--mix=get:N,put:N,mget:N,rmw:N,cas:N,snap:N]\n"
           "                  [--txn-pct=P] [--seed=N] [--json=PATH]\n"
@@ -1140,7 +1042,6 @@ int main(int argc, char **argv) {
   // Fail fast on incoherent flag combinations (bench/ServiceFlags.h keeps
   // the matrix unit-testable) instead of emitting a misleading entry.
   ServiceFlags F;
-  F.Affine = Single.Exec == ExecMode::Affine;
   F.Qps = Single.Qps;
   F.Overload = Single.Policy != OverloadPolicy::None;
   F.Durability = Single.Dur;
@@ -1166,9 +1067,7 @@ int main(int argc, char **argv) {
     if (JsonPath.empty())
       JsonPath = Smoke ? "BENCH_kv_smoke.json" : "BENCH_kv.json";
   } else {
-    Single.Name = Single.Qps > 0 ? "kv/custom_open"
-                  : Single.Exec == ExecMode::Affine ? "kv/custom_affine"
-                                                    : "kv/custom_closed";
+    Single.Name = Single.Qps > 0 ? "kv/custom_open" : "kv/custom_closed";
     Configs.push_back(Single);
   }
 

@@ -8,11 +8,8 @@
 # satm-bench-v9 schema: a non-empty benchmark list where every entry has the numeric core
 # fields plus a complete per-benchmark abort-reason histogram (all nine
 # taxonomy keys, integer counts). Service benchmarks (kv/*) must addition-
-# ally carry exec_mode ("symmetric" or "affine"), throughput_ops_per_sec
-# and the latency_ns percentile block; micro benchmarks may omit all
-# three. Affine-executor benchmarks (kv/affine/*) must carry the v6 affine
-# routing block (hops, cross_shard_ops, cross_shard_ratio,
-# max_queue_depth) and exec_mode "affine". Overload benchmarks
+# ally carry throughput_ops_per_sec and the latency_ns percentile block;
+# micro benchmarks may omit both. Overload benchmarks
 # (kv/overload/*) must further carry offered_ops_per_sec,
 # goodput_ops_per_sec and shed_rate. Snapshot-plane benchmarks
 # (kv/snapshot/*) must carry the read_planes block — exactly the three
@@ -30,16 +27,15 @@
 # bench/kv_loadgen) must carry the v8 net block — exactly {qps_offered,
 # goodput, p99_ns, slo_capacity, shed_rate, batch_avg} — plus the latency
 # percentile set; wherever a net block appears it is validated to that
-# shape. CI runs this so a refactor can't
+# shape, and a net/* entry's throughput_ops_per_sec must equal its
+# net.goodput (within 1 op/s): throughput is goodput, not the offered
+# rate and not completions that include shed answers. CI runs this so a refactor can't
 # silently drop the observability fields from the trajectory file.
 #
 # --require-kv asserts the file contains at least one kv/* entry and the
 # full kv/snapshot/{read,ntread,txnread} triple — used on merged trajectory
 # files, where losing the kv_service half (or the read-plane comparison)
-# would otherwise still validate. --require-affine asserts at least one
-# kv/affine/* entry and at least one symmetric kv/* entry, so the
-# affine-vs-symmetric comparison cannot silently drop either side.
-# --require-durability asserts at least one async kv/durable/* entry (and,
+# would otherwise still validate. --require-durability asserts at least one async kv/durable/* entry (and,
 # on full-mode files, at least one sync entry) and at least one
 # checkpoint-carrying kv/durable/* entry, so neither the durability
 # plane's numbers nor the compaction plane's can silently vanish from
@@ -47,7 +43,7 @@
 # asserts at least one net/* entry, so the loopback SLO-capacity sweep
 # cannot silently vanish from a merged file.
 #
-# Usage: scripts/check_bench_schema.sh [--require-kv] [--require-affine] \
+# Usage: scripts/check_bench_schema.sh [--require-kv] \
 #            [--require-durability] [--require-net] FILE.json [FILE2.json ...]
 #
 #===----------------------------------------------------------------------===#
@@ -55,13 +51,11 @@
 set -euo pipefail
 
 REQUIRE_KV=0
-REQUIRE_AFFINE=0
 REQUIRE_DURABILITY=0
 REQUIRE_NET=0
 while true; do
   case "${1:-}" in
     --require-kv) REQUIRE_KV=1; shift ;;
-    --require-affine) REQUIRE_AFFINE=1; shift ;;
     --require-durability) REQUIRE_DURABILITY=1; shift ;;
     --require-net) REQUIRE_NET=1; shift ;;
     *) break ;;
@@ -70,21 +64,19 @@ done
 
 if [ "$#" -lt 1 ]; then
   echo "usage: scripts/check_bench_schema.sh [--require-kv]" \
-       "[--require-affine] [--require-durability] [--require-net]" \
-       "FILE.json [...]" >&2
+       "[--require-durability] [--require-net] FILE.json [...]" >&2
   exit 2
 fi
 
 for FILE in "$@"; do
-  python3 - "$FILE" "$REQUIRE_KV" "$REQUIRE_AFFINE" "$REQUIRE_DURABILITY" \
-    "$REQUIRE_NET" <<'EOF'
+  python3 - "$FILE" "$REQUIRE_KV" "$REQUIRE_DURABILITY" "$REQUIRE_NET" \
+    <<'EOF'
 import json, sys
 
 path = sys.argv[1]
 require_kv = sys.argv[2] == "1"
-require_affine = sys.argv[3] == "1"
-require_durability = sys.argv[4] == "1"
-require_net = sys.argv[5] == "1"
+require_durability = sys.argv[3] == "1"
+require_net = sys.argv[4] == "1"
 REASONS = [
     "read_validation", "write_lock_conflict", "nt_read_kill", "nt_write_kill",
     "aggregated_scope", "user_retry", "user_abort", "contention_give_up",
@@ -94,7 +86,6 @@ PERCENTILES = ["p50", "p95", "p99", "p999"]
 OVERLOAD_FIELDS = ["offered_ops_per_sec", "goodput_ops_per_sec", "shed_rate"]
 PLANES = ["snapshot", "nt", "txn"]
 PLANE_FIELDS = PERCENTILES + ["count"]
-AFFINE_INT_FIELDS = ["hops", "cross_shard_ops", "max_queue_depth"]
 DURABILITY_INT_FIELDS = ["fsync_batches", "records", "ring_stalls"]
 DURABILITY_FIELDS = DURABILITY_INT_FIELDS + ["mode", "recovery_ms"]
 CHECKPOINT_INT_FIELDS = ["interval_ops", "wal_truncated_bytes"]
@@ -118,8 +109,6 @@ benches = doc.get("benchmarks")
 if not isinstance(benches, list) or not benches:
     fail("benchmarks must be a non-empty list")
 kv_entries = 0
-affine_entries = 0
-symmetric_entries = 0
 durable_async = 0
 durable_sync = 0
 durable_ckpt = 0
@@ -147,38 +136,6 @@ for b in benches:
         if not has_tput or not has_lat:
             fail(f"benchmark {name}: kv/* entries must carry "
                  "throughput_ops_per_sec and latency_ns")
-        # v6 executor dimension: every service entry names its mode.
-        if b.get("exec_mode") not in ("symmetric", "affine"):
-            fail(f"benchmark {name}: kv/* entries must carry exec_mode "
-                 "'symmetric' or 'affine', got "
-                 f"{b.get('exec_mode')!r}")
-        if b["exec_mode"] == "affine":
-            affine_entries += 1
-        else:
-            symmetric_entries += 1
-    elif "exec_mode" in b:
-        fail(f"benchmark {name}: exec_mode on a non-service entry")
-    # v6 affine routing block: mandatory for kv/affine/* entries, which
-    # must also run in affine mode; validated wherever present.
-    if name.startswith("kv/affine/"):
-        if "affine" not in b:
-            fail(f"benchmark {name}: kv/affine/* entries must carry the "
-                 "affine routing block")
-        if b.get("exec_mode") != "affine":
-            fail(f"benchmark {name}: kv/affine/* entries must have "
-                 "exec_mode 'affine'")
-    if "affine" in b:
-        blk = b["affine"]
-        expected = set(AFFINE_INT_FIELDS + ["cross_shard_ratio"])
-        if not isinstance(blk, dict) or set(blk) != expected:
-            fail(f"benchmark {name}: affine block must carry exactly "
-                 f"{sorted(expected)}")
-        for key in AFFINE_INT_FIELDS:
-            if not isinstance(blk[key], int):
-                fail(f"benchmark {name}: affine[{key!r}] must be an integer")
-        if not isinstance(blk["cross_shard_ratio"], (int, float)):
-            fail(f"benchmark {name}: affine['cross_shard_ratio'] must be "
-                 "numeric")
     # Read-plane split: mandatory for kv/snapshot/* entries, and
     # validated to exactly three complete planes wherever present.
     if name.startswith("kv/snapshot/") and "read_planes" not in b:
@@ -252,8 +209,9 @@ for b in benches:
         net_entries += 1
         if "net" not in b:
             fail(f"benchmark {name}: net/* entries must carry the net block")
-        if not has_lat:
-            fail(f"benchmark {name}: net/* entries must carry latency_ns")
+        if not has_lat or not has_tput:
+            fail(f"benchmark {name}: net/* entries must carry latency_ns "
+                 "and throughput_ops_per_sec")
     if "net" in b:
         blk = b["net"]
         if not isinstance(blk, dict) or set(blk) != set(NET_FIELDS):
@@ -262,6 +220,12 @@ for b in benches:
         for key in NET_FIELDS:
             if not isinstance(blk[key], (int, float)):
                 fail(f"benchmark {name}: net[{key!r}] must be numeric")
+        # Throughput is goodput: not the offered rate, and not completed
+        # responses with shed answers counted in.
+        if has_tput and abs(b["throughput_ops_per_sec"] - blk["goodput"]) > 1:
+            fail(f"benchmark {name}: throughput_ops_per_sec "
+                 f"{b['throughput_ops_per_sec']} != net.goodput "
+                 f"{blk['goodput']}")
     # v4 overload fields: mandatory for kv/overload/* entries, numeric
     # wherever present.
     if name.startswith("kv/overload/"):
@@ -291,10 +255,6 @@ if require_kv:
     if missing:
         fail(f"--require-kv: kv/snapshot read-plane triple incomplete, "
              f"missing entries for {missing}")
-if require_affine and affine_entries == 0:
-    fail("--require-affine: no kv/affine/* (exec_mode 'affine') entries")
-if require_affine and symmetric_entries == 0:
-    fail("--require-affine: no symmetric kv/* entries to compare against")
 if require_durability and durable_async == 0:
     fail("--require-durability: no async kv/durable/* entries present")
 if require_durability and doc["mode"] == "full" and durable_sync == 0:
@@ -306,8 +266,6 @@ if require_durability and durable_ckpt == 0:
 if require_net and net_entries == 0:
     fail("--require-net: no net/* (wire load-generator) entries present")
 kv_note = f", {kv_entries} kv" if kv_entries else ""
-if affine_entries:
-    kv_note += f" ({affine_entries} affine)"
 if durable_async or durable_sync:
     kv_note += (f" ({durable_async} async + {durable_sync} sync durable, "
                 f"{durable_ckpt} checkpointed)")

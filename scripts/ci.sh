@@ -25,7 +25,7 @@ cmake --build build -j "$JOBS"
 
 echo "== bench smoke (perf_suite + kv_service + loopback wire, merged)"
 scripts/bench.sh --smoke "$JOBS"
-scripts/check_bench_schema.sh --require-kv --require-affine \
+scripts/check_bench_schema.sh --require-kv \
   --require-durability --require-net build/BENCH_smoke.json BENCH_satm.json
 
 echo "== bench smoke with event tracing armed (SATM_TRACE=1)"
@@ -34,7 +34,7 @@ SATM_TRACE=1 SATM_STATS=1 ./build/bench/perf_suite --smoke \
 scripts/check_bench_schema.sh build/BENCH_smoke_trace.json
 SATM_TRACE=1 SATM_STATS=1 ./build/bench/kv_service --smoke \
   --json=build/BENCH_kv_smoke_trace.json
-scripts/check_bench_schema.sh --require-kv --require-affine \
+scripts/check_bench_schema.sh --require-kv \
   --require-durability build/BENCH_kv_smoke_trace.json
 
 echo "== snapshot plane lane (ctest -L snapshot, plain + tracing armed)"
@@ -58,8 +58,10 @@ echo "== fault-injection smoke lane (seeded SATM_FAULTS matrix)"
 # A curated subset: concurrency-heavy tests whose assertions are about
 # outcomes, not exact abort counts (injected spurious aborts add retries).
 # The dedicated fault tests (fault_injector_test etc.) arm programmatically
-# and run in the default lanes instead.
-FAULT_TESTS="barriers_test|lazy_txn_test|quiesce_test|workloads_test|kv_stress_test"
+# and run in the default lanes instead. kv_churn_flat_test checks that the
+# reclamation identities (retired = recycled + pooled) survive injected
+# aborts and re-executions.
+FAULT_TESTS="barriers_test|lazy_txn_test|quiesce_test|workloads_test|kv_stress_test|kv_churn_flat_test"
 for SPEC in \
   "seed=1,txn_open=0.02,txn_commit=0.02" \
   "seed=7,txn_open=0.05,lazy_open=0.05,lazy_commit=0.05" \
@@ -68,15 +70,6 @@ for SPEC in \
   (cd build && SATM_FAULTS="$SPEC" ctest --output-on-failure -j "$JOBS" \
     -R "$FAULT_TESTS")
 done
-
-echo "== affine executor fault lane (seeded SATM_FAULTS)"
-# The shard-affine executor under injected aborts: hops, gate retreats and
-# owned-fast re-executions must preserve conservation and the reclamation
-# identities (the explorer miniature stays in the default lanes — its
-# exhaustiveness assertions need deterministic schedules).
-AFFINE_FAULT_TESTS="kv_affine_test|kv_churn_flat_test"
-(cd build && SATM_FAULTS="seed=13,txn_open=0.02,txn_commit=0.02" \
-  ctest --output-on-failure -j "$JOBS" -R "$AFFINE_FAULT_TESTS")
 
 echo "== net front-end fault lane (seeded short-read/short-write caps)"
 # The net_read/net_write sites cap server-side socket syscalls to a few
@@ -136,10 +129,6 @@ echo "== TSan fault-injection smoke"
   SATM_FAULTS="seed=7,txn_open=0.02,txn_commit=0.02,barrier_delay=0.01:800" \
   ctest --output-on-failure -j "$JOBS" -R "$FAULT_TESTS")
 
-echo "== TSan affine executor fault lane"
-(cd build-tsan && SATM_FAULTS="seed=13,txn_open=0.02,txn_commit=0.02" \
-  ctest --output-on-failure -j "$JOBS" -R "$AFFINE_FAULT_TESTS")
-
 echo "== TSan durability crash/recovery lane (full kill loop)"
 (cd build-tsan && SATM_FAST_TESTS=0 ctest --output-on-failure -L durability \
   -LE chaos)
@@ -173,7 +162,7 @@ SATM_TRACE=1 SATM_STATS=1 ./build-tsan/bench/perf_suite --smoke \
 scripts/check_bench_schema.sh build-tsan/BENCH_smoke_trace.json
 SATM_TRACE=1 SATM_STATS=1 ./build-tsan/bench/kv_service --smoke \
   --json=build-tsan/BENCH_kv_smoke_trace.json
-scripts/check_bench_schema.sh --require-kv --require-affine \
+scripts/check_bench_schema.sh --require-kv \
   --require-durability build-tsan/BENCH_kv_smoke_trace.json
 
 echo "== CI green (plain + tsan, SATM_FAST_TESTS=$SATM_FAST_TESTS)"

@@ -32,7 +32,6 @@
 #include "check/Explorer.h"
 
 #include "rt/Heap.h"
-#include "stm/AffineGate.h"
 #include "stm/Barriers.h"
 #include "stm/LazyTxn.h"
 #include "stm/Snapshot.h"
@@ -123,15 +122,6 @@ public:
     C.ConflictPauseLimit = 12;
     C.Yield = &yieldTrampoline;
     config() = C;
-
-    int MaxGate = -1;
-    for (const auto &Th : P.Threads)
-      for (const Segment &Seg : Th) {
-        MaxGate = std::max(MaxGate, Seg.OwnedGate);
-        for (int G : Seg.ForeignGates)
-          MaxGate = std::max(MaxGate, G);
-      }
-    NumGates = static_cast<size_t>(MaxGate + 1);
 
     for (const ObjectSpec &Spec : P.Objects)
       Types.emplace_back(Spec.Name, Spec.Slots, Spec.RefSlots);
@@ -325,13 +315,6 @@ private:
     }
     LockObj = HeapPtr->allocate(LockType.get(), rt::BirthState::Shared);
 
-    // Fresh gates every run: a worker exception inside a gated segment
-    // would otherwise leak an open window or a foreign-intent count into
-    // every subsequent run of the exploration.
-    AffineGates.clear();
-    for (size_t G = 0; G < NumGates; ++G)
-      AffineGates.push_back(std::make_unique<AffineGate>());
-
     Regs.assign(NThreads, {});
     RegSnap.assign(NThreads, {});
     for (auto &R : Regs) {
@@ -484,7 +467,7 @@ private:
       switch (R) {
       case Regime::Eager:
       case Regime::Strong:
-        runEagerSegment(T, Seg);
+        Txn::run([&] { execTxnBody(T, Seg, /*Lazy=*/false); });
         break;
       case Regime::Lazy:
       case Regime::LazyOrd:
@@ -497,40 +480,6 @@ private:
       recordEvent(T, TraceEvent::Kind::TxnCommit, YieldPoint::TxnContention,
                   -1, 0, 0);
     }
-  }
-
-  /// Eager/Strong transactional segment, honoring the affine-gate
-  /// annotations (Program.h). An owned segment mirrors
-  /// AffineExec::execSingle: probe the gate, run under OwnedFastScope when
-  /// the window opens, retreat to the full protocol when foreign intent
-  /// holds it. A cross segment mirrors AffineExec::runCross: publish
-  /// foreign intent on every listed gate (cooperatively waiting out open
-  /// windows via YieldPoint::AffineGate), run the full-protocol
-  /// transaction, withdraw. The intent spans the transaction's
-  /// re-executions, exactly as in the executor.
-  void runEagerSegment(int T, const Segment &Seg) {
-    if (Seg.OwnedGate >= 0) {
-      AffineGate &G = *AffineGates[Seg.OwnedGate];
-      pause(T); // The gate probe is a scheduling-visible decision.
-      if (G.tryEnterOwned()) {
-        OwnedFastScope Scope;
-        Txn::run([&] { execTxnBody(T, Seg, /*Lazy=*/false); });
-        G.exitOwned();
-      } else {
-        Txn::run([&] { execTxnBody(T, Seg, /*Lazy=*/false); });
-      }
-      return;
-    }
-    if (!Seg.ForeignGates.empty()) {
-      pause(T);
-      for (int Gate : Seg.ForeignGates)
-        AffineGates[Gate]->enterForeign();
-      Txn::run([&] { execTxnBody(T, Seg, /*Lazy=*/false); });
-      for (int Gate : Seg.ForeignGates)
-        AffineGates[Gate]->exitForeign();
-      return;
-    }
-    Txn::run([&] { execTxnBody(T, Seg, /*Lazy=*/false); });
   }
 
   void execTxnBody(int T, const Segment &Seg, bool Lazy) {
@@ -738,10 +687,6 @@ private:
   std::vector<Object *> Objects;
   std::unordered_map<Word, int> PtrToIdx;
   Object *LockObj = nullptr;
-  /// Affine-gate modeling (Program.h): one gate per annotation index,
-  /// recreated per run by setupRun().
-  size_t NumGates = 0;
-  std::vector<std::unique_ptr<AffineGate>> AffineGates;
 
   std::vector<std::vector<Word>> Regs, RegSnap;
   std::vector<uint8_t> AbortFired;
@@ -879,8 +824,6 @@ const char *yieldPointName(YieldPoint P) {
     return "snapshot-publish";
   case YieldPoint::QuiesceWait:
     return "quiesce-wait";
-  case YieldPoint::AffineGate:
-    return "affine-gate";
   }
   return "?";
 }

@@ -8,8 +8,8 @@
 
 #include "kv/Wal.h"
 #include "stm/Barriers.h"
+#include "stm/Dea.h"
 #include "stm/Quiesce.h"
-#include "stm/Snapshot.h"
 #include "stm/Txn.h"
 
 #include <cassert>
@@ -225,46 +225,6 @@ bool Store::put(Word Key, Word Val) {
   return insert(Key, Val);
 }
 
-bool Store::putFastOwned(Word Key, Word Val) {
-  assert(Val != Tombstone && "Tombstone is reserved");
-  if (DurableLog)
-    return false; // Raw stores bypass the redo log: take the txn path.
-  const ShardRep &S = Reps[shardOf(Key)];
-  const uint32_t Mask = Capacity - 1;
-  uint32_t I = probeStart(Key, Capacity);
-  for (uint32_t N = 0; N < Capacity; ++N, I = (I + 1) & Mask) {
-    // Plain acquire loads: index mutations of this shard either happened
-    // on this thread (the owner executes all single-key writes) or
-    // synchronized through the AffineGate handshake before the window
-    // opened, so no record check is needed.
-    Word K = S.Keys->rawLoad(I, std::memory_order_acquire);
-    if (K == 0)
-      return false;
-    if (K != Key + 1)
-      continue;
-    Object *V =
-        Object::fromWord(S.Vals->rawLoad(I, std::memory_order_acquire));
-    if (!V)
-      return false; // Erased: the transactional insert path resurrects.
-    // Snapshot-visibility guard: once V has a version chain (a past
-    // transactional write — e.g. a CAS — published nodes for it),
-    // snapshot readers resolve V through the chain and a raw overwrite
-    // here would be permanently invisible to them, freezing snapshotGet
-    // at the last chained value. Fall back to the transactional insert
-    // (the caller's fallback path), which publishes a version node.
-    // Chain-less objects keep the raw store: snap::readAtEpoch reads
-    // them in place (the documented nt caveat, stm/Snapshot.h).
-    if (stm::config().SnapshotEnabled && stm::snap::tableEntries() != 0 &&
-        stm::snap::newestEpoch(V) != 0)
-      return false;
-    // No unlink race: erases of this shard run only under this window or
-    // behind the gate, never concurrently with it.
-    V->rawStore(0, Val, std::memory_order_release);
-    return true;
-  }
-  return false;
-}
-
 //===----------------------------------------------------------------------===
 // Transactional plane.
 //===----------------------------------------------------------------------===
@@ -297,10 +257,15 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
   RetiredRecord Recycled{nullptr, 0, 0, 0};
   bool Harvested = popRecycled(Shard, Recycled);
   bool UsedRecycled = false;
+  // A fresh record allocated by an attempt outlives that attempt's abort:
+  // re-executions reuse it instead of allocating another.
+  Object *Fresh = nullptr;
+  bool UsedFresh = false;
   OpStatus St = OpStatus::Ok;
   OpStatus R = runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::Ok;
     UsedRecycled = false;
+    UsedFresh = false;
     int FirstFree = -1;
     int Slot = findSlotTxn(Tx, S, Key, &FirstFree);
     int Target = Slot;
@@ -317,7 +282,7 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
       // untouched — size() counts index entries, which never shrink.
     } else if (FirstFree >= 0) {
       Target = FirstFree;
-    } else if (Harvested &&
+    } else if (Harvested && Recycled.Slot != NoSlot &&
                Tx.readRef(S.Vals, Recycled.Slot) == nullptr) {
       // Tombstone-saturated shard: the probe wrapped the whole table
       // without an empty slot, so every slot is on every key's probe
@@ -343,14 +308,21 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
       V = Recycled.V;
       Tx.write(V, 0, Val);
       UsedRecycled = true;
+    } else if (Fresh) {
+      // Allocated by an aborted attempt, whose ref store may have
+      // published it: write transactionally, as for a recycled record.
+      V = Fresh;
+      Tx.write(V, 0, Val);
+      UsedFresh = true;
     } else {
       // Fresh record, born per config().birthState(): under DEA it stays
       // private — invisible to every other thread — until the
       // transactional ref store below publishes it (§4), so its
       // initializing rawStore needs no barrier.
-      V = H.allocate(&ValueType, stm::config().birthState());
+      V = Fresh = H.allocate(&ValueType, stm::config().birthState());
       V->rawStore(0, Val);
       ValueAllocated.fetch_add(1, std::memory_order_relaxed);
+      UsedFresh = true;
     }
     if (Slot < 0) {
       Tx.write(S.Keys, uint32_t(Target), Key + 1);
@@ -367,6 +339,13 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
       ValueRecycled.fetch_add(1, std::memory_order_relaxed);
     else // Unused (overwrite path or shed): park it again, slot intact.
       pushRetired(Shard, Recycled.V, Recycled.Slot);
+  }
+  if (Fresh && !(R == OpStatus::Ok && UsedFresh)) {
+    // Left over by an aborted attempt: park it like an erased record,
+    // public, since whichever thread recycles it does not own it.
+    stm::publishObject(Fresh);
+    ValueRetired.fetch_add(1, std::memory_order_relaxed);
+    pushRetired(Shard, Fresh, NoSlot);
   }
   return R;
 }

@@ -179,17 +179,6 @@ public:
   /// insert. Returns false only if the shard is full.
   bool put(Word Key, Word Val);
 
-  /// Owner-side single-key overwrite for the shard-affine executor
-  /// (kv/Affine.h): plain loads for the probe and one release store for
-  /// the value — no record CAS at all. Caller must hold the shard's
-  /// AffineGate window open, which guarantees no other thread owns or
-  /// acquires the shard's records for the duration (concurrent
-  /// non-transactional GETs remain safe: they are per-slot atomic loads).
-  /// Returns false (writing nothing) when the key is absent or erased —
-  /// the caller falls through to the transactional insert, still inside
-  /// its owned window.
-  bool putFastOwned(Word Key, Word Val);
-
   //===--------------------------------------------------------------------===
   // Transactional plane (atomic multi-key operations).
   //===--------------------------------------------------------------------===
@@ -304,7 +293,8 @@ public:
   /// Retired/Recycled keep climbing.
   struct ReclaimStats {
     uint64_t Allocated; ///< Fresh value-record allocations (monotone).
-    uint64_t Retired;   ///< Records parked by erase (monotone).
+    uint64_t Retired;   ///< Records parked by erase, or left unlinked by
+                        ///< an insert's aborted attempt (monotone).
     uint64_t Recycled;  ///< Parked records reused by insert (monotone).
     uint64_t PoolSize;  ///< Records currently parked across all shards.
   };
@@ -315,9 +305,9 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Attaches \p W: from here on every committing mutation registers a
-  /// publish-window redo append, and the raw single-key fast paths
-  /// (putFast, putFastOwned) refuse so all writes take the logged
-  /// transactional path. Pass null to detach. The caller sequences this
+  /// publish-window redo append, and the raw single-key fast path
+  /// (putFast) refuses so all writes take the logged transactional
+  /// path. Pass null to detach. The caller sequences this
   /// against in-flight operations (attach before workers start, detach
   /// after they join) and must have start()ed the Wal first.
   void attachWal(Wal *W) { DurableLog = W; }
@@ -339,10 +329,12 @@ private:
   struct RetiredRecord {
     rt::Object *V;
     uint32_t Slot; ///< Index slot the record was unlinked from (the
-                   ///< tombstoned entry a saturated insert may recycle).
+                   ///< tombstoned entry a saturated insert may recycle),
+                   ///< or NoSlot for a record that was never linked.
     uint64_t RetireEpoch;
     uint64_t RetireStable;
   };
+  static constexpr uint32_t NoSlot = ~0u;
 
   /// Per-shard retire pool. Mutex-guarded: erase commits and insert
   /// harvests are rare next to the lock-free read/write planes, and the

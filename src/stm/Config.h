@@ -74,10 +74,6 @@ enum class YieldPoint : uint8_t {
   /// waitForPriorWritebacks on one other thread's slot. Lets the
   /// cooperative explorer schedule through QuiesceOnCommit waits.
   QuiesceWait,
-  /// Shard-affine gate (stm/AffineGate.h): a foreign (cross-shard)
-  /// transaction waiting for the shard owner's fast-path window to close.
-  /// The gate word is passed so a scheduler can park until it changes.
-  AffineGate,
 };
 
 /// Cooperative-scheduler yield callback. \p Rec (nullable) is the record

@@ -112,9 +112,7 @@ const char *abortReasonKey(AbortReason R);
   X(SnapshotTxns, "snapshot_txns")                                             \
   X(SnapshotReads, "snapshot_reads")                                           \
   X(SnapshotPublishes, "snapshot_publishes")                                   \
-  X(SnapshotNodesFreed, "snapshot_nodes_freed")                               \
-  X(OwnedAcquires, "owned_acquires")                                           \
-  X(AffineHops, "affine_hops")
+  X(SnapshotNodesFreed, "snapshot_nodes_freed")
 
 /// Single-writer counter cell: incremented only by the owning thread, read
 /// by snapshotters. Relaxed load+store (not an atomic RMW) keeps the hot

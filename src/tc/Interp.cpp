@@ -20,13 +20,23 @@ using stm::Word;
 
 namespace {
 
-/// Thread-local interpreter context: transactional print buffering and the
-/// step budget are per executing thread.
+/// Thread-local interpreter context: transactional print buffering, the
+/// step budget and the nesting depth are per executing thread.
 struct ThreadCtx {
   std::string PendingOut; ///< print output buffered until commit.
   unsigned AtomicDepth = 0;
+  /// Calls plus atomic and open regions in progress: each one recurses on
+  /// the host stack.
+  unsigned NestDepth = 0;
   uint64_t Steps = 0;
 };
+
+/// NestDepth allowed per thread. An unbounded TranC recursion would
+/// otherwise overflow the host stack and kill the process; past this depth
+/// the call or region raises a RuntimeError instead. Sized to fit an 8 MiB
+/// thread stack under ThreadSanitizer, whose frames are the largest of the
+/// supported builds (about 0.85 KiB per level).
+constexpr unsigned MaxNestDepth = 6000;
 
 ThreadCtx &threadCtx() {
   thread_local ThreadCtx C;
@@ -131,6 +141,23 @@ namespace {
   throw Interp::RuntimeError{std::to_string(Where.Line) + ":" +
                              std::to_string(Where.Col) + ": " + Msg};
 }
+
+/// Holds one level of NestDepth for its scope.
+class NestGuard {
+public:
+  NestGuard(ThreadCtx &C, Loc Where) : C(C) {
+    if (C.NestDepth >= MaxNestDepth)
+      fail(Where, "nesting depth limit (" + std::to_string(MaxNestDepth) +
+                      ") exceeded by calls and atomic regions");
+    ++C.NestDepth;
+  }
+  ~NestGuard() { --C.NestDepth; }
+  NestGuard(const NestGuard &) = delete;
+  NestGuard &operator=(const NestGuard &) = delete;
+
+private:
+  ThreadCtx &C;
+};
 
 } // namespace
 
@@ -362,7 +389,11 @@ void Interp::execFromEntry(uint32_t FuncId, std::vector<Word> &Regs,
         Args.reserve(I.Args.size());
         for (RegId A : I.Args)
           Args.push_back(Regs[A]);
-        Word R = execFunction(I.Index, std::move(Args));
+        Word R;
+        {
+          NestGuard Nest(TC, I.Where);
+          R = execFunction(I.Index, std::move(Args));
+        }
         if (I.Imm)
           Regs[I.Dst] = R;
         break;
@@ -417,6 +448,7 @@ void Interp::execFromEntry(uint32_t FuncId, std::vector<Word> &Regs,
         Pos Body{P.B, P.I + 1};
         BlockId EndBlock = I.Index;
         std::vector<Word> Snapshot = Regs;
+        NestGuard Nest(TC, I.Where);
         ++TC.AtomicDepth;
         bool Outermost = TC.AtomicDepth == 1;
         try {
@@ -449,6 +481,7 @@ void Interp::execFromEntry(uint32_t FuncId, std::vector<Word> &Regs,
         // never re-executes by itself; a conflict inside it unwinds (and
         // restarts) the whole enclosing transaction, whose own snapshot
         // restores the frame.
+        NestGuard Nest(TC, I.Where);
         stm::Txn::runOpenNested([&] {
           bool Returned = Run(Body);
           assert(!Returned && "return escaped an open region");

@@ -70,10 +70,10 @@ TEST(ChurnFlat, TombstoneChurnPlateausValueRecords) {
   for (unsigned R = 0; R < Rounds; ++R) {
     for (Word K = 0; K < NumKeys; ++K)
       ASSERT_TRUE(S.erase(K));
-    // The executor's quiesce tick: once the epoch passes the parks'
-    // retirement horizon, every record parked this round is ripe. (Without
-    // the tick the pool self-ripens one epoch per round — reclamation
-    // still caps allocations at ~1 per round instead of NumKeys.)
+    // An epoch tick: once the epoch passes the parks' retirement horizon,
+    // every record parked this round is ripe. (Without the tick the pool
+    // self-ripens one epoch per round — reclamation still caps
+    // allocations at ~1 per round instead of NumKeys.)
     Quiescence::advanceEpoch();
     for (Word K = 0; K < NumKeys; ++K)
       ASSERT_TRUE(S.insert(K, R * NumKeys + K + 1));

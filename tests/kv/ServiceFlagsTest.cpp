@@ -7,8 +7,7 @@
 // The incoherent-flag matrix for bench/ServiceFlags.h: every combination
 // kv_service rejects (exit 2 before any setup) and the nearby coherent
 // ones it must keep accepting. Each rejected combo would otherwise run
-// and emit a misleading bench entry — affine latencies attributed to an
-// arrival clock it doesn't honor, overload numbers with no offered rate,
+// and emit a misleading bench entry — overload numbers with no offered rate,
 // sync-durability entries cut short by smoke budgets, or a --wal-dir that
 // silently did nothing.
 //
@@ -45,10 +44,6 @@ TEST(ServiceFlags, CoherentCombinationsPass) {
   expectOk(base(), "defaults");
 
   ServiceFlags F = base();
-  F.Affine = true;
-  expectOk(F, "plain affine");
-
-  F = base();
   F.Qps = 50000;
   expectOk(F, "open loop");
 
@@ -72,34 +67,10 @@ TEST(ServiceFlags, CoherentCombinationsPass) {
   expectOk(F, "wal dir with a durability mode");
 }
 
-TEST(ServiceFlags, AffineRejectsOpenLoop) {
-  ServiceFlags F = base();
-  F.Affine = true;
-  F.Qps = 50000;
-  expectRejected(F, "--qps", "affine + qps");
-}
-
-TEST(ServiceFlags, AffineRejectsOverload) {
-  ServiceFlags F = base();
-  F.Affine = true;
-  F.Overload = true;
-  expectRejected(F, "--overload", "affine + overload");
-}
-
 TEST(ServiceFlags, OverloadRequiresAnOfferedRate) {
   ServiceFlags F = base();
   F.Overload = true;
   expectRejected(F, "--qps", "overload without qps");
-}
-
-TEST(ServiceFlags, AffineRejectsDurability) {
-  for (kv::DurabilityMode M :
-       {kv::DurabilityMode::Async, kv::DurabilityMode::Sync}) {
-    ServiceFlags F = base();
-    F.Affine = true;
-    F.Durability = M;
-    expectRejected(F, "--durability", "affine + durability");
-  }
 }
 
 TEST(ServiceFlags, SyncDurabilityRejectsSmokeAndSuiteBudgets) {
@@ -155,13 +126,6 @@ TEST(ServiceFlags, ServeRejectsClosedLoopThreadPool) {
   F.Serve = true;
   F.ThreadsSet = true;
   expectRejected(F, "--io-threads", "serve + threads");
-}
-
-TEST(ServiceFlags, ServeRejectsAffineExecutor) {
-  ServiceFlags F = base();
-  F.Serve = true;
-  F.Affine = true;
-  expectRejected(F, "--exec=affine", "serve + affine");
 }
 
 TEST(ServiceFlags, ServeRejectsTimeBudgetHarnesses) {

@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "kv/Affine.h"
 #include "kv/Store.h"
 #include "rt/Heap.h"
 #include "stm/Snapshot.h"
@@ -122,101 +121,6 @@ TEST_F(SnapshotStoreTest, ReadOnlyPhaseIsExactlyZeroAbort) {
   EXPECT_EQ(C.TxnCommits, 0u);
   EXPECT_EQ(C.TxnAborts, 0u);
   EXPECT_GE(C.SnapshotReads, uint64_t(Threads) * PerThread * 2);
-}
-
-TEST_F(SnapshotStoreTest, PutFastOwnedRefusesChainedObjects) {
-  Store S(H, tiny());
-  ASSERT_TRUE(S.insert(5, 1000)); // Fresh record: no version chain yet.
-
-  // Chain-less object: the raw owned store is legal and snapshot reads
-  // see it in place (the documented nt caveat, stm/Snapshot.h).
-  EXPECT_TRUE(S.putFastOwned(5, 1500));
-  Word V = 0;
-  ASSERT_TRUE(S.snapshotGet(5, V));
-  EXPECT_EQ(V, 1500u);
-
-  // A transactional overwrite publishes a version node: the object is now
-  // chained and snapshot readers resolve it through the chain.
-  ASSERT_TRUE(S.insert(5, 2000));
-  ASSERT_TRUE(S.snapshotGet(5, V));
-  EXPECT_EQ(V, 2000u);
-
-  // The regression: a raw store into a chained object is invisible to
-  // snapshot readers forever (snapshotGet would stay frozen at the last
-  // chained value). putFastOwned must refuse so the affine put falls back
-  // to the transactional insert, which publishes.
-  EXPECT_FALSE(S.putFastOwned(5, 3000));
-  ASSERT_TRUE(S.snapshotGet(5, V));
-  EXPECT_EQ(V, 2000u) << "the refused store must have no effect";
-  ASSERT_TRUE(S.insert(5, 3000)); // The fallback path the caller takes.
-  ASSERT_TRUE(S.snapshotGet(5, V));
-  EXPECT_EQ(V, 3000u);
-  Word Nt = 0;
-  ASSERT_TRUE(S.get(5, Nt));
-  EXPECT_EQ(Nt, 3000u);
-}
-
-TEST_F(SnapshotStoreTest, AffineOwnedWritesStaySnapshotVisible) {
-  Config C;
-  C.SnapshotEnabled = true;
-  C.DeaEnabled = true;
-  ScopedConfig Nested(C);
-
-  StoreConfig KC;
-  KC.Shards = 4;
-  KC.CapacityPerShard = 64;
-  Store S(H, KC);
-
-  constexpr int NumKeys = 16;
-  constexpr Word Rounds = 200;
-  Word Keys[NumKeys];
-  for (int I = 0; I < NumKeys; ++I) {
-    Keys[I] = Word(I + 1);
-    ASSERT_TRUE(S.insert(Keys[I], 999));
-    ASSERT_TRUE(S.insert(Keys[I], 1000)); // Overwrite: chains the record.
-  }
-
-  // Solo affine executor: every put below runs the owned single-key path
-  // (putFastOwned, falling back to the transactional insert when refused).
-  AffineExec AX(S, 1);
-  std::atomic<bool> WriterDone{false};
-  std::atomic<uint64_t> Regressions{0};
-
-  std::thread Reader([&] {
-    Word Last[NumKeys] = {};
-    Word Out[NumKeys];
-    do {
-      if (S.snapshotMultiGet(Keys, NumKeys, Out) != NumKeys) {
-        Regressions.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      for (int I = 0; I < NumKeys; ++I) {
-        // Writers only move values up; a snapshot that reads below a
-        // previously observed value — or outside the written range — saw
-        // a frozen chain or a torn write.
-        if (Out[I] < 1000 || Out[I] > 1000 + Rounds || Out[I] < Last[I])
-          Regressions.fetch_add(1, std::memory_order_relaxed);
-        Last[I] = Out[I];
-      }
-    } while (!WriterDone.load(std::memory_order_acquire));
-  });
-
-  for (Word R = 1; R <= Rounds; ++R)
-    for (int I = 0; I < NumKeys; ++I)
-      ASSERT_TRUE(AX.put(0, Keys[I], 1000 + R));
-  WriterDone.store(true, std::memory_order_release);
-  Reader.join();
-  EXPECT_EQ(Regressions.load(), 0u);
-
-  // The bug's signature was chained keys frozen at their last chained
-  // value: the final snapshot would sum short of the final round. Every
-  // key must have landed exactly on the last write.
-  Word Out[NumKeys];
-  ASSERT_EQ(S.snapshotMultiGet(Keys, NumKeys, Out), size_t(NumKeys));
-  Word Sum = 0;
-  for (int I = 0; I < NumKeys; ++I)
-    Sum += Out[I];
-  EXPECT_EQ(Sum, Word(NumKeys) * (1000 + Rounds));
 }
 
 TEST_F(SnapshotStoreTest, ConservationUnderConcurrentTransfers) {

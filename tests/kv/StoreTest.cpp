@@ -8,7 +8,8 @@
 // multi-key operations, the barrier-plane GET/PUT fast paths, tombstone
 // erase/resurrect, probe displacement, shard-full reporting, and the DEA
 // lifecycle of value objects (born Private, published by the insert's
-// transactional ref store). Concurrency is covered by KvStressTest (real
+// transactional ref store), and the value-record accounting under
+// injected aborts. Concurrency is covered by KvStressTest (real
 // threads) and by the explorer model in tests/check/KvModelTest.
 //
 //===----------------------------------------------------------------------===//
@@ -17,9 +18,11 @@
 
 #include "stm/Config.h"
 #include "stm/Dea.h"
+#include "support/FaultInjector.h"
 
 #include "gtest/gtest.h"
 
+#include <string>
 #include <vector>
 
 using namespace satm;
@@ -241,6 +244,25 @@ TEST(KvStore, ValueObjectForMissesAbsentKeys) {
   ASSERT_TRUE(S.insert(1, 5));
   EXPECT_NE(S.valueObjectFor(1), nullptr);
   EXPECT_EQ(S.valueObjectFor(2), nullptr);
+}
+
+TEST(KvStore, AbortedInsertAttemptsReuseTheirRecord) {
+  // An insert re-executed after an abort must not allocate a second value
+  // record: every allocation stays either linked live or parked.
+  rt::Heap H;
+  Store S(H, tiny());
+  FaultConfig FC;
+  std::string Err;
+  ASSERT_TRUE(FaultInjector::parse("seed=5,txn_commit=0.5", FC, Err)) << Err;
+  FaultInjector::arm(FC);
+  for (Word K = 0; K < 20; ++K)
+    EXPECT_TRUE(S.insert(K, K + 1));
+  uint64_t Fired = FaultInjector::firedCount(FaultSite::TxnCommit);
+  FaultInjector::disarm();
+  EXPECT_GT(Fired, 0u) << "no insert attempt was aborted";
+  Store::ReclaimStats RS = S.reclaimStats();
+  EXPECT_EQ(RS.Allocated, 20u + RS.PoolSize);
+  EXPECT_EQ(RS.PoolSize, RS.Retired - RS.Recycled);
 }
 
 TEST(KvStore, ShapeRoundsUpToPowersOfTwo) {

@@ -163,11 +163,10 @@ TEST(Wal, AttachedStoreRefusesRawFastPaths) {
   W.start();
   S.attachWal(&W);
 
-  // Attached: the raw paths refuse — an unlogged overwrite would be
+  // Attached: the raw path refuses — an unlogged overwrite would be
   // silently undone by recovery. put() still works via the logged
   // transactional insert.
   EXPECT_FALSE(S.putFast(1, 12));
-  EXPECT_FALSE(S.putFastOwned(1, 12));
   EXPECT_TRUE(S.put(1, 12));
   Word V = 0;
   ASSERT_TRUE(S.get(1, V));

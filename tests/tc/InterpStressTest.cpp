@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Heavier end-to-end scenarios: contended transactional data structures,
-// runtime aggregation groups under strong atomicity, deep recursion,
-// producer/consumer with retry, and the full optimization pipeline on
-// concurrent programs.
+// runtime aggregation groups under strong atomicity, deep and unbounded
+// recursion, producer/consumer with retry, and the full optimization
+// pipeline on concurrent programs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -150,6 +150,38 @@ TEST(InterpStress, DeepRecursion) {
     fn main() { print(depth()" +
                        std::to_string(N) + ")); }"),
             std::to_string(N) + "\n");
+}
+
+TEST(InterpStress, UnboundedRecursionIsARuntimeError) {
+  // A recursion far past the per-thread nesting limit must fail the run
+  // with a runtime error rather than overflow the host stack, also when
+  // every level opens an atomic region (each region nests host frames).
+  const std::string Depth = R"(
+    fn depth(int n): int {
+      if (n == 0) { return 0; }
+      return 1 + depth(n - 1);
+    }
+    fn atomicDepth(int n): int {
+      if (n == 0) { return 0; }
+      var r = 0;
+      atomic { r = 1 + atomicDepth(n - 1); }
+      return r;
+    }
+  )";
+  for (const char *Call : {"depth(1000000)", "atomicDepth(1000000)"}) {
+    Diag D;
+    ir::Module M = compile(
+        Depth + "fn main() { print(" + Call + "); }", {}, D);
+    ASSERT_FALSE(D.hasErrors()) << D.str();
+    Interp I(M, {});
+    EXPECT_FALSE(I.run()) << Call;
+    EXPECT_NE(I.error().find("nesting depth limit"), std::string::npos)
+        << Call << ": " << I.error();
+  }
+
+  // The failed runs unwound their depth count: this thread still recurses.
+  EXPECT_EQ(runProgram(Depth + "fn main() { print(depth(1000)); }"),
+            "1000\n");
 }
 
 TEST(InterpStress, RetryBasedBoundedBuffer) {
