@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// TailBench-style open-loop load generator for kv_service --serve,
+// TailBench-style open-loop load generator for bench/kv_server,
 // measured over real TCP sockets. Each connection runs a sender thread
 // and a receiver thread:
 //
@@ -28,12 +28,11 @@
 // factor actually achieved at that load (net batching is load-dependent:
 // queues only form when arrivals outpace drains).
 //
-// Results go into net/* entries of the satm-bench-v8 JSON (BenchJson.h).
+// Results go into net/* entries of the satm-bench-v9 JSON (BenchJson.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "ServiceFlags.h"
 
 #include "net/Client.h"
 #include "net/Protocol.h"
@@ -486,7 +485,7 @@ int main(int argc, char **argv) {
     else {
       std::fprintf(
           stderr,
-          "usage: kv_loadgen --qps=Q [--sweep=lo:hi:steps] [--duration=S]\n"
+          "usage: kv_loadgen (--qps=Q | --sweep=lo:hi:steps) [--duration=S]\n"
           "                  [--host=A] [--port=P | --port-file=PATH]\n"
           "                  [--conns=N] [--keys=N] [--dist=zipf|uniform]\n"
           "                  [--theta=T] [--mix=get:N,put:N,mget:N,rmw:N,"
@@ -498,12 +497,10 @@ int main(int argc, char **argv) {
     }
   }
 
-  ServiceFlags F;
-  F.Qps = C.Qps;
-  F.Loadgen = true;
-  F.RetriesSet = C.Retries > 0;
-  if (const char *Err = validateServiceFlags(F)) {
-    std::fprintf(stderr, "kv_loadgen: %s\n", Err);
+  if (!(C.Qps > 0)) {
+    // --sweep sets Qps to its floor.
+    std::fprintf(stderr, "kv_loadgen: --qps or --sweep is required: the "
+                         "load is open-loop by construction\n");
     return 2;
   }
   if (!C.PortFile.empty() && !readPortFile(C.PortFile, C.Port)) {

@@ -29,7 +29,7 @@
 //
 // Latencies go into per-thread log-bucketed histograms (≤3.2% relative
 // error) merged at the end; p50/p95/p99/p99.9 are reported in the table and
-// in the kv/* entries of the satm-bench-v6 JSON (bench/BenchJson.h). Read
+// in the kv/* entries of the satm-bench-v9 JSON (bench/BenchJson.h). Read
 // latencies are additionally split per plane (snapshot/nt/txn) into the
 // read_planes block, so the three read paths' tails stay separately
 // attributable — the kv/snapshot/* triple runs the same 8-key read batch
@@ -61,19 +61,17 @@
 // retry/deadline budget (kv::OpBudget), trading a nonzero shed rate for a
 // bounded p99.9 and higher goodput (requests completed in budget).
 //
+// bench/kv_server serves the same store, built by the same ServiceStack,
+// over TCP instead of to in-process workers.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "ServiceFlags.h"
+#include "ServiceStack.h"
 
-#include "kv/Checkpoint.h"
-#include "kv/Store.h"
-#include "kv/Wal.h"
-#include "net/Server.h"
 #include "stm/Barriers.h"
 #include "stm/Config.h"
 #include "stm/Report.h"
-#include "stm/Snapshot.h"
 #include "stm/Stats.h"
 #include "support/LatencyHistogram.h"
 #include "support/Rng.h"
@@ -84,16 +82,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 using namespace satm;
 using namespace satm::bench;
@@ -127,18 +120,12 @@ struct Mix {
 /// latency split. Write-only and overload-rejected requests carry None.
 enum class ReadPlane { None, Snap, Nt, Txn };
 
-/// What to do when offered load exceeds capacity (open-loop runs only).
-enum class OverloadPolicy {
-  None,  ///< Closed-loop / uncontrolled open-loop: no deadline semantics.
-  Queue, ///< Execute everything; queueing delay goes to the tail.
-  Shed,  ///< Admission-drop already-late arrivals; budget the txn ops.
-};
-
-struct RunConfig {
+/// One in-process run. The StackConfig half (store shape, overload
+/// budget, durability) is what kv_server takes too; an overload policy
+/// applies to open-loop runs only.
+struct RunConfig : StackConfig {
   std::string Name = "kv/custom";
   unsigned Threads = 4;
-  uint64_t Keys = 1 << 16;
-  uint32_t Shards = 64;
   uint64_t OpsPerThread = 200000;
   KeyGenerator::Dist Dist = KeyGenerator::Dist::Zipfian;
   double Theta = 0.99;
@@ -151,25 +138,10 @@ struct RunConfig {
   /// same number of keys per request as an 8-key batch plane, so the
   /// kv/snapshot/* per-request latencies compare like for like.
   uint32_t NtGetBatch = 1;
-  /// Overload control (the v4 degradation experiment).
-  OverloadPolicy Policy = OverloadPolicy::None;
-  uint64_t DeadlineUs = 0;  ///< Per-request deadline (0 = none).
-  uint32_t RetryBudget = 0; ///< Txn attempts per op under Shed (0 = ∞).
-  /// Contention-manager knobs forwarded to stm::Config.
-  uint32_t IrrevocableAfterAborts = 0;
-  bool Karma = false;
   /// Suite calibration: when set, Qps is computed as QpsFactor times the
   /// measured throughput of the earlier suite entry with this name.
   std::string CalibrateFrom;
   double QpsFactor = 0;
-  /// Durability plane (DESIGN.md §12): attach a per-shard redo log; under
-  /// Sync, ack mutations only after their group-commit fsync.
-  kv::DurabilityMode Dur = kv::DurabilityMode::Off;
-  std::string WalDir; ///< Log directory; empty = per-pid /tmp scratch.
-  /// Checkpoint + WAL-compaction plane (DESIGN.md §14): snapshot the
-  /// store every this-many appended redo records, truncate the log below
-  /// the previous checkpoint's barrier. 0 = no checkpointer.
-  uint64_t CheckpointInterval = 0;
 };
 
 struct RunResult {
@@ -361,81 +333,13 @@ private:
   ReadPlane Plane = ReadPlane::None;
 };
 
-/// Per-run scratch log directory under /tmp: pid-qualified so parallel CI
-/// jobs cannot collide, entry-qualified so a leftover from a crashed run
-/// is attributable.
-std::string defaultWalDir(const std::string &Name) {
-  std::string Tag = Name;
-  for (char &Ch : Tag)
-    if (Ch == '/')
-      Ch = '_';
-  return "/tmp/satm-wal-" + std::to_string(long(::getpid())) + "-" + Tag;
-}
-
 RunResult runService(const RunConfig &C) {
-  // The service runs in the paper's +DEA strong mode: barriers on, objects
-  // born Private until a transactional ref store publishes them.
-  Config Cfg;
-  Cfg.DeaEnabled = true;
-  Cfg.IrrevocableAfterAborts = C.IrrevocableAfterAborts;
-  Cfg.KarmaPriority = C.Karma;
-  ScopedConfig SC(Cfg);
-
-  rt::Heap H;
-  kv::StoreConfig KC;
-  KC.Shards = C.Shards;
-  uint32_t PerShard = uint32_t(2 * C.Keys / (C.Shards ? C.Shards : 1));
-  KC.CapacityPerShard = PerShard < 8 ? 8 : PerShard;
-  kv::Store S(H, KC);
-  for (uint64_t K = 0; K < C.Keys; ++K)
-    if (!S.insert(K, 1000)) {
-      std::fprintf(stderr, "kv_service: prepopulate overflow at key %" PRIu64
-                           " (shard full)\n",
-                   K);
-      std::exit(1);
-    }
-
-  // The snapshot plane goes live only after prepopulate: the bulk inserts
-  // need no version history, and keeping them chain-less means the run
-  // starts from the same store state as the non-snapshot configurations.
-  // The checkpointer needs it too — its store scan pins a snapshot epoch
-  // to get a commit-order-consistent image (kv/Checkpoint.h).
-  std::optional<ScopedConfig> SnapSC;
-  if (C.M.Snap || C.CheckpointInterval) {
-    Config SnapCfg = Cfg;
-    SnapCfg.SnapshotEnabled = true;
-    SnapSC.emplace(SnapCfg);
-  }
-
-  // Durability plane: the log covers post-load mutations (recovery =
-  // prepopulate + replay), so the Wal attaches only after the bulk
-  // inserts — logging the prepopulate would bill every entry for a
-  // checkpoint the experiment treats as given.
-  kv::Wal::Config WC;
-  std::optional<kv::Wal> W;
-  std::optional<kv::Checkpointer> CP;
-  if (C.Dur != kv::DurabilityMode::Off) {
-    WC.Dir = C.WalDir.empty() ? defaultWalDir(C.Name) : C.WalDir;
-    WC.Shards = S.shards();
-    std::filesystem::remove_all(WC.Dir); // Per-run scratch: start empty.
-    W.emplace(WC);
-    W->start();
-    S.attachWal(&*W);
-    if (C.CheckpointInterval) {
-      kv::Checkpointer::Config CC;
-      CC.IntervalOps = C.CheckpointInterval;
-      CP.emplace(S, *W, CC);
-      CP->start();
-    }
-  }
-
+  ServiceStack St("kv_service", C, C.M.Snap > 0, C.Name);
   statsReset();
   std::vector<Worker> Workers;
   Workers.reserve(C.Threads);
-  kv::Wal *SyncW =
-      W && C.Dur == kv::DurabilityMode::Sync ? &*W : nullptr;
   for (unsigned T = 0; T < C.Threads; ++T)
-    Workers.emplace_back(S, C, T, SyncW);
+    Workers.emplace_back(St.S, C, T, St.syncWal());
 
   std::atomic<bool> Go{false};
   Clock::time_point Start{}; // Published by the Go release store below.
@@ -444,7 +348,7 @@ RunResult runService(const RunConfig &C) {
     Threads.emplace_back([&, T] {
       while (!Go.load(std::memory_order_acquire))
         std::this_thread::yield();
-      Workers[T].run(H, Start);
+      Workers[T].run(St.H, Start);
     });
   Start = Clock::now();
   Go.store(true, std::memory_order_release);
@@ -465,25 +369,22 @@ RunResult runService(const RunConfig &C) {
     Total.Good += W.R.Good;
   }
   Total.Counters = statsSnapshot();
-  if (W) {
-    if (CP) {
-      CP->stop(); // Before Wal::stop — runOnce needs a live log.
-      Total.HasCheckpoint = true;
-      Total.Ckpt = CP->stats();
-    }
-    S.attachWal(nullptr);
-    W->stop(); // Final drain + fsync: the log now holds every commit.
+  St.stopDurability();
+  if (St.CP) {
+    Total.HasCheckpoint = true;
+    Total.Ckpt = St.CP->stats();
+  }
+  if (St.W) {
     Total.HasDurability = true;
-    Total.Wal = W->stats();
+    Total.Wal = St.W->stats();
     // Recovery-time benchmark: replay this run's entire log into a fresh
     // store from the same prepopulated state, shard-parallel. Failures
     // here mean the log and the store disagree — that is a correctness
     // bug, not a slow run, so it is fatal.
     rt::Heap RH;
-    kv::Store RS(RH, KC);
-    for (uint64_t K = 0; K < C.Keys; ++K)
-      RS.insert(K, 1000);
-    kv::Wal RW(WC);
+    kv::Store RS(RH, storeConfig(C));
+    prepopulate(RS, C.Keys);
+    kv::Wal RW(St.WC);
     kv::RecoveryStats Rec = RW.recover(RS);
     if (Rec.ApplyFailures || !Rec.ReclaimIdentityOk) {
       std::fprintf(stderr,
@@ -500,11 +401,7 @@ RunResult runService(const RunConfig &C) {
                 " entries at lsn %" PRIu64 ")\n",
                 C.Name.c_str(), Rec.RecordsReplayed, Rec.TxnsReplayed,
                 Rec.Millis, Rec.CheckpointEntries, Rec.CheckpointLsn);
-    std::filesystem::remove_all(WC.Dir);
   }
-  // The version table keys raw Object* into this run's heap: clear it
-  // before H dies so the next configuration cannot alias stale keys.
-  snap::resetTable();
   return Total;
 }
 
@@ -754,150 +651,6 @@ std::vector<RunConfig> suiteConfigs(bool Smoke) {
   return Cs;
 }
 
-//===----------------------------------------------------------------------===//
-// Server mode (--serve): the same store + durability setup as runService,
-// fronted by the src/net epoll server instead of in-process workers.
-//===----------------------------------------------------------------------===//
-
-struct ServeOptions {
-  std::string Host = "127.0.0.1";
-  uint16_t Port = 0; ///< 0 = ephemeral; announced via --port-file.
-  unsigned IoThreads = 1;
-  unsigned NetWorkers = 2;
-  uint32_t NetBatch = 16;
-  uint32_t QueueCap = 1024;
-  std::string PortFile;
-};
-
-/// The serving instance, for the signal handler. requestStop() is only an
-/// atomic store plus an eventfd write, both async-signal-safe.
-std::atomic<net::Server *> GServer{nullptr};
-
-void onStopSignal(int) {
-  if (net::Server *Sv = GServer.load(std::memory_order_acquire))
-    Sv->requestStop();
-}
-
-int runServe(const RunConfig &C, const ServeOptions &O) {
-  Config Cfg;
-  Cfg.DeaEnabled = true;
-  Cfg.IrrevocableAfterAborts = C.IrrevocableAfterAborts;
-  Cfg.KarmaPriority = C.Karma;
-  // The checkpointer's consistent store scan pins a snapshot epoch.
-  Cfg.SnapshotEnabled = C.CheckpointInterval > 0;
-  ScopedConfig SC(Cfg);
-
-  rt::Heap H;
-  kv::StoreConfig KC;
-  KC.Shards = C.Shards;
-  uint32_t PerShard = uint32_t(2 * C.Keys / (C.Shards ? C.Shards : 1));
-  KC.CapacityPerShard = PerShard < 8 ? 8 : PerShard;
-  kv::Store S(H, KC);
-  for (uint64_t K = 0; K < C.Keys; ++K)
-    if (!S.insert(K, 1000)) {
-      std::fprintf(stderr, "kv_service: prepopulate overflow at key %" PRIu64
-                           " (shard full)\n",
-                   K);
-      return 1;
-    }
-
-  kv::Wal::Config WC;
-  std::optional<kv::Wal> W;
-  std::optional<kv::Checkpointer> CP;
-  if (C.Dur != kv::DurabilityMode::Off) {
-    WC.Dir = C.WalDir.empty() ? defaultWalDir("serve") : C.WalDir;
-    WC.Shards = S.shards();
-    std::filesystem::remove_all(WC.Dir);
-    W.emplace(WC);
-    W->start();
-    S.attachWal(&*W);
-    if (C.CheckpointInterval) {
-      kv::Checkpointer::Config CC;
-      CC.IntervalOps = C.CheckpointInterval;
-      CP.emplace(S, *W, CC);
-      CP->start();
-    }
-  }
-
-  net::ServerConfig NC;
-  NC.Host = O.Host;
-  NC.Port = O.Port;
-  NC.IoThreads = O.IoThreads;
-  NC.Workers = O.NetWorkers;
-  NC.NetBatch = O.NetBatch;
-  NC.QueueCap = O.QueueCap;
-  NC.Shed = C.Policy == OverloadPolicy::Shed;
-  NC.DeadlineUs = C.DeadlineUs;
-  NC.RetryBudget = C.RetryBudget;
-  NC.SyncWal = W && C.Dur == kv::DurabilityMode::Sync ? &*W : nullptr;
-  NC.StatsWal = W ? &*W : nullptr;
-
-  net::Server Sv(S, NC);
-  std::string Err;
-  if (!Sv.start(&Err)) {
-    std::fprintf(stderr, "kv_service: --serve failed: %s\n", Err.c_str());
-    return 1;
-  }
-  GServer.store(&Sv, std::memory_order_release);
-  std::signal(SIGINT, onStopSignal);
-  std::signal(SIGTERM, onStopSignal);
-
-  if (!O.PortFile.empty()) {
-    // Ephemeral-port handshake for scripted runs: the bound port appears
-    // in the file only after the listener is live, so a poller that read
-    // it can connect immediately.
-    std::string Tmp = O.PortFile + ".tmp";
-    if (FILE *PF = std::fopen(Tmp.c_str(), "w")) {
-      std::fprintf(PF, "%u\n", unsigned(Sv.port()));
-      std::fclose(PF);
-      std::rename(Tmp.c_str(), O.PortFile.c_str());
-    } else {
-      std::fprintf(stderr, "kv_service: cannot write %s\n", O.PortFile.c_str());
-      Sv.stop();
-      return 1;
-    }
-  }
-  std::printf("kv_service: serving %s:%u (io=%u workers=%u batch=%u "
-              "overload=%s durability=%s)\n",
-              O.Host.c_str(), unsigned(Sv.port()), O.IoThreads, O.NetWorkers,
-              O.NetBatch, NC.Shed ? "shed" : "queue",
-              kv::durabilityModeName(C.Dur));
-  std::fflush(stdout);
-
-  while (!Sv.stopRequested())
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  // Ordered teardown (DESIGN.md §13): the server drains its queues and
-  // closes every socket before the WAL stops, so no late batch can append
-  // to a stopped log.
-  Sv.stop();
-  GServer.store(nullptr, std::memory_order_release);
-  net::ServerStats St = Sv.stats();
-  std::printf("kv_service: served %" PRIu64 " requests (%" PRIu64
-              " responses, %" PRIu64 " bad frames), %" PRIu64
-              " conns accepted, batch_avg %.2f, shed %" PRIu64
-              " queue-full + %" PRIu64 " deadline, max queue depth %" PRIu64
-              "\n",
-              St.Requests, St.Responses, St.BadFrames, St.Accepted,
-              St.batchAvg(), St.ShedQueueFull, St.ShedDeadline,
-              St.MaxQueueDepth);
-  if (W) {
-    if (CP) {
-      CP->stop();
-      kv::CheckpointStats CS = CP->stats();
-      std::printf("kv_service: %" PRIu64 " checkpoints written (%" PRIu64
-                  " wal bytes truncated)\n",
-                  CS.Written, CS.WalTruncatedBytes);
-    }
-    S.attachWal(nullptr);
-    W->stop();
-    if (C.WalDir.empty())
-      std::filesystem::remove_all(WC.Dir); // Scratch log: clean up.
-  }
-  snap::resetTable();
-  return 0;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -906,11 +659,13 @@ int main(int argc, char **argv) {
   RunConfig Single;
   bool HaveTxnPct = false;
   unsigned TxnPct = 0;
-  bool Serve = false, ThreadsSet = false, IoThreadsSet = false,
-       NetBatchSet = false;
-  ServeOptions SO;
   for (int I = 1; I < argc; ++I) {
     const char *A = argv[I];
+    if (int Got = parseStackFlag("kv_service", A, Single)) {
+      if (Got < 0)
+        return 2;
+      continue;
+    }
     auto Val = [&](const char *Prefix) -> const char * {
       size_t N = std::strlen(Prefix);
       return std::strncmp(A, Prefix, N) ? nullptr : A + N;
@@ -922,35 +677,8 @@ int main(int argc, char **argv) {
       Suite = true;
     else if ((V = Val("--json=")))
       JsonPath = V;
-    else if ((V = Val("--threads="))) {
+    else if ((V = Val("--threads=")))
       Single.Threads = unsigned(std::atoi(V));
-      ThreadsSet = true;
-    } else if ((V = Val("--serve="))) {
-      // addr:port, e.g. --serve=127.0.0.1:7400 (port 0 = ephemeral).
-      const char *Colon = std::strrchr(V, ':');
-      if (!Colon || Colon == V) {
-        std::fprintf(stderr, "kv_service: --serve needs addr:port\n");
-        return 2;
-      }
-      SO.Host.assign(V, size_t(Colon - V));
-      SO.Port = uint16_t(std::atoi(Colon + 1));
-      Serve = true;
-    } else if ((V = Val("--io-threads="))) {
-      SO.IoThreads = unsigned(std::atoi(V));
-      IoThreadsSet = true;
-    } else if ((V = Val("--workers=")))
-      SO.NetWorkers = unsigned(std::atoi(V));
-    else if ((V = Val("--net-batch="))) {
-      SO.NetBatch = uint32_t(std::atoi(V));
-      NetBatchSet = true;
-    } else if ((V = Val("--queue-cap=")))
-      SO.QueueCap = uint32_t(std::atoi(V));
-    else if ((V = Val("--port-file=")))
-      SO.PortFile = V;
-    else if ((V = Val("--keys=")))
-      Single.Keys = uint64_t(std::atoll(V));
-    else if ((V = Val("--shards=")))
-      Single.Shards = uint32_t(std::atoi(V));
     else if ((V = Val("--ops=")))
       Single.OpsPerThread = uint64_t(std::atoll(V));
     else if ((V = Val("--dist="))) {
@@ -986,54 +714,17 @@ int main(int argc, char **argv) {
       Single.MgetKeys = uint32_t(std::atoi(V));
     else if ((V = Val("--nt-get-batch=")))
       Single.NtGetBatch = uint32_t(std::atoi(V));
-    else if ((V = Val("--overload="))) {
-      if (!std::strcmp(V, "shed"))
-        Single.Policy = OverloadPolicy::Shed;
-      else if (!std::strcmp(V, "queue"))
-        Single.Policy = OverloadPolicy::Queue;
-      else {
-        std::fprintf(stderr, "kv_service: --overload must be shed or queue\n");
-        return 2;
-      }
-    } else if ((V = Val("--durability="))) {
-      if (!kv::parseDurabilityMode(V, Single.Dur)) {
-        std::fprintf(stderr,
-                     "kv_service: --durability must be off, async, or sync\n");
-        return 2;
-      }
-    } else if ((V = Val("--wal-dir=")))
-      Single.WalDir = V;
-    else if ((V = Val("--checkpoint-interval=")))
-      Single.CheckpointInterval = uint64_t(std::atoll(V));
-    else if ((V = Val("--deadline-us=")))
-      Single.DeadlineUs = uint64_t(std::atoll(V));
-    else if ((V = Val("--retry-budget=")))
-      Single.RetryBudget = uint32_t(std::atoi(V));
-    else if ((V = Val("--irrevocable-after=")))
-      Single.IrrevocableAfterAborts = uint32_t(std::atoi(V));
-    else if (!std::strcmp(A, "--karma"))
-      Single.Karma = true;
     else {
       std::fprintf(
           stderr,
           "usage: kv_service [--suite|--smoke] [--json=PATH]\n"
-          "       kv_service [--threads=N] [--keys=N] [--shards=N] [--ops=N]\n"
-          "                  [--dist=zipf|uniform] [--theta=T] [--qps=Q]\n"
+          "       kv_service [--threads=N] [--ops=N] [--dist=zipf|uniform]\n"
+          "                  [--theta=T] [--qps=Q] [--txn-pct=P] [--seed=N]\n"
           "                  [--mix=get:N,put:N,mget:N,rmw:N,cas:N,snap:N]\n"
-          "                  [--txn-pct=P] [--seed=N] [--json=PATH]\n"
-          "                  [--mget-keys=N] [--nt-get-batch=N]\n"
-          "                  [--overload=shed|queue] [--deadline-us=N]\n"
-          "                  [--retry-budget=N] [--irrevocable-after=N]\n"
-          "                  [--karma]\n"
-          "                  [--durability=off|async|sync] [--wal-dir=PATH]\n"
-          "                  [--checkpoint-interval=N]\n"
-          "       kv_service --serve=ADDR:PORT [--io-threads=N] [--workers=N]\n"
-          "                  [--net-batch=N] [--queue-cap=N]\n"
-          "                  [--port-file=PATH] [--overload=shed]\n"
-          "                  [--deadline-us=N] [--retry-budget=N]\n"
-          "                  [--keys=N] [--shards=N]\n"
-          "                  [--durability=off|async|sync] [--wal-dir=PATH]\n"
-          "                  [--checkpoint-interval=N]\n");
+          "                  [--mget-keys=N] [--nt-get-batch=N] [--json=PATH]\n"
+          "                  [store flags]\n"
+          "%s(bench/kv_server serves the same store over TCP)\n",
+          StackFlagsUsage);
       return 2;
     }
   }
@@ -1041,25 +732,15 @@ int main(int argc, char **argv) {
     Single.M = mixForTxnPct(TxnPct);
   // Fail fast on incoherent flag combinations (bench/ServiceFlags.h keeps
   // the matrix unit-testable) instead of emitting a misleading entry.
-  ServiceFlags F;
+  ServiceFlags F = stackFlags(Single);
   F.Qps = Single.Qps;
   F.Overload = Single.Policy != OverloadPolicy::None;
-  F.Durability = Single.Dur;
   F.Smoke = Smoke;
   F.Suite = Suite;
-  F.WalDirSet = !Single.WalDir.empty();
-  F.Serve = Serve;
-  F.ThreadsSet = ThreadsSet;
-  F.IoThreadsSet = IoThreadsSet;
-  F.NetBatchSet = NetBatchSet;
-  F.CheckpointSet = Single.CheckpointInterval > 0;
   if (const char *Err = validateServiceFlags(F)) {
     std::fprintf(stderr, "kv_service: %s\n", Err);
     return 2;
   }
-
-  if (Serve)
-    return runServe(Single, SO);
 
   std::vector<RunConfig> Configs;
   if (Suite || Smoke) {

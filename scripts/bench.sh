@@ -6,7 +6,7 @@
 # Full mode (default) runs bench/perf_suite (micro benchmarks),
 # bench/kv_service --suite (the SATM-KV service with closed- and open-loop
 # load) at their fixed full sizes, and the loopback wire stage — a
-# kv_service --serve instance driven by bench/kv_loadgen over real TCP
+# bench/kv_server instance driven by bench/kv_loadgen over real TCP
 # sockets: an open-loop Poisson sweep for the SLO-capacity verdict
 # (queue mode), then a shed-mode server held at 2x the measured capacity
 # to show overload control keeping the tail bounded. The three JSONs are
@@ -40,7 +40,8 @@ for ARG in "$@"; do
 done
 
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build -j "$JOBS" --target perf_suite kv_service kv_loadgen
+cmake --build build -j "$JOBS" --target perf_suite kv_service kv_server \
+  kv_loadgen
 
 # Concatenates the benchmarks arrays of same-mode bench JSONs.
 merge_json() { # in1.json in2.json [in3.json ...] out.json
@@ -63,35 +64,13 @@ print(f"merged {' + '.join(ins)} -> {out} ({len(a['benchmarks'])} benchmarks)")
 EOF
 }
 
-# Starts kv_service --serve in the background (ephemeral port published
-# through a port file), runs kv_loadgen against it, and waits the server
-# out. The loadgen's --stop-server SHUTDOWN frame ends the serve run, so
-# a clean exit here also certifies the drain-ordered teardown.
-run_net_stage() { # port-file server-args... -- loadgen-args...
-  local PORT_FILE="$1"; shift
-  local SERVER_ARGS=()
-  while [ "$1" != "--" ]; do SERVER_ARGS+=("$1"); shift; done
-  shift
-  rm -f "$PORT_FILE"
-  ./build/bench/kv_service --serve=127.0.0.1:0 --port-file="$PORT_FILE" \
-    "${SERVER_ARGS[@]}" &
-  local SERVER_PID=$!
-  if ! ./build/bench/kv_loadgen --port-file="$PORT_FILE" --stop-server "$@"
-  then
-    kill "$SERVER_PID" 2>/dev/null || true
-    wait "$SERVER_PID" 2>/dev/null || true
-    return 1
-  fi
-  wait "$SERVER_PID"
-}
-
 if [ "$MODE" = smoke ]; then
   ./build/bench/perf_suite --smoke --json=build/BENCH_micro_smoke.json
   ./build/bench/kv_service --smoke --json=build/BENCH_kv_smoke.json
   # Wire smoke: one short open-loop point over loopback, enough to prove
   # the serve/loadgen handshake and the net JSON block end-to-end.
-  run_net_stage build/net_port_smoke --io-threads=1 --workers=2 \
-      --keys=16384 -- \
+  scripts/net_stage.sh build/bench build/net_port_smoke \
+      --io-threads=1 --workers=2 --keys=16384 -- \
     --qps=20000 --duration=1 --conns=2 --keys=16384 --seed=2026 \
     --mode=smoke --json=build/BENCH_net_smoke.json
   merge_json build/BENCH_micro_smoke.json build/BENCH_kv_smoke.json \
@@ -102,7 +81,7 @@ else
   ./build/bench/kv_service --suite --json=build/BENCH_kv.json | tee -a BENCH_satm.raw.txt
 
   echo "== net stage 1/2: open-loop capacity sweep (queue mode)" | tee -a BENCH_satm.raw.txt
-  run_net_stage build/net_port --io-threads=2 --workers=2 -- \
+  scripts/net_stage.sh build/bench build/net_port --io-threads=2 --workers=2 -- \
     --sweep=25000:400000:7 --duration=3 --conns=4 --seed=2026 \
     --json=build/BENCH_net_queue.json 2>&1 | tee -a BENCH_satm.raw.txt
 
@@ -127,7 +106,7 @@ print(int(doc["benchmarks"][0]["net"]["slo_capacity"]))')
     SHED_LOAD="--qps=$((2 * CAPACITY))"
   fi
   echo "== net stage 2/2: shed mode at 2x capacity (${CAPACITY} qps x 2) + sweep top" | tee -a BENCH_satm.raw.txt
-  run_net_stage build/net_port --io-threads=2 --workers=2 \
+  scripts/net_stage.sh build/bench build/net_port --io-threads=2 --workers=2 \
       --overload=shed --deadline-us=2000 --retry-budget=4 -- \
     "$SHED_LOAD" --duration=5 --conns=4 --seed=2026 \
     --tag=shed --json=build/BENCH_net_shed.json 2>&1 | tee -a BENCH_satm.raw.txt

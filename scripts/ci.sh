@@ -102,21 +102,18 @@ echo "== network chaos lane (kill-under-TCP-load loop, full length)"
 (cd build && SATM_FAST_TESTS=0 ctest --output-on-failure -L chaos)
 
 echo "== disk-fault degradation sub-lane (seeded log_enospc, live server)"
-# Env-armed ENOSPC against the real kv_service --serve process under
+# Env-armed ENOSPC against the real kv_server process under
 # kv_loadgen traffic: the WAL seals mid-run, sync acks turn into
 # DurabilityLost (the loadgen counts them separately, they are not
 # errors), reads keep flowing, and the server must still exit 0 at
 # shutdown — the lane's assertion is that an injected disk fault never
-# becomes an ioFatal abort.
-rm -f build/net_port_enospc
-SATM_FAULTS="seed=23,log_enospc=0.02" ./build/bench/kv_service \
-  --serve=127.0.0.1:0 --port-file=build/net_port_enospc --keys=16384 \
-  --io-threads=1 --workers=2 --durability=sync --checkpoint-interval=4096 &
-ENOSPC_SERVER_PID=$!
-./build/bench/kv_loadgen --port-file=build/net_port_enospc \
+# becomes an ioFatal abort. kv_loadgen inherits the spec but runs no
+# WAL, so log_enospc never fires there.
+SATM_FAULTS="seed=23,log_enospc=0.02" scripts/net_stage.sh build/bench \
+  build/net_port_enospc --keys=16384 --io-threads=1 --workers=2 \
+  --durability=sync --checkpoint-interval=4096 -- \
   --qps=5000 --duration=1 --conns=2 --keys=16384 --mode=smoke --retries=2 \
-  --json=build/BENCH_net_enospc.json --stop-server
-wait "$ENOSPC_SERVER_PID"
+  --json=build/BENCH_net_enospc.json
 scripts/check_bench_schema.sh --require-net build/BENCH_net_enospc.json
 
 echo "== ThreadSanitizer build"
@@ -141,15 +138,10 @@ echo "== TSan net front-end fault lane"
   ctest --output-on-failure -R "net_server_test")
 
 echo "== TSan loopback serve/loadgen smoke (real sockets end-to-end)"
-rm -f build-tsan/net_port_smoke
-./build-tsan/bench/kv_service --serve=127.0.0.1:0 \
-  --port-file=build-tsan/net_port_smoke --keys=16384 --io-threads=1 \
-  --workers=2 &
-NET_SERVER_PID=$!
-./build-tsan/bench/kv_loadgen --port-file=build-tsan/net_port_smoke \
+scripts/net_stage.sh build-tsan/bench build-tsan/net_port_smoke \
+  --keys=16384 --io-threads=1 --workers=2 -- \
   --qps=5000 --duration=1 --conns=2 --keys=16384 --mode=smoke \
-  --json=build-tsan/BENCH_net_smoke.json --stop-server
-wait "$NET_SERVER_PID"
+  --json=build-tsan/BENCH_net_smoke.json
 scripts/check_bench_schema.sh --require-net build-tsan/BENCH_net_smoke.json
 
 echo "== TSan snapshot lane (tracing armed)"

@@ -13,6 +13,7 @@
 #include "stm/Txn.h"
 
 #include <cassert>
+#include <memory>
 
 using namespace satm;
 using namespace satm::kv;
@@ -356,11 +357,30 @@ bool Store::insert(Word Key, Word Val) {
 
 OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
                          OpStatus *PerKey, const OpBudget &B) {
+  // Per batch position, the fresh record an attempt allocated. As in
+  // insert, it outlives that attempt's abort: re-executions reuse it, and
+  // one the final attempt leaves unused is parked below. Batches up to the
+  // net front end's 64-key chunk keep this table on the stack.
+  struct FreshRecord {
+    Object *V;
+    bool Used;
+  };
+  constexpr size_t InlineRecords = 64;
+  FreshRecord Inline[InlineRecords];
+  std::unique_ptr<FreshRecord[]> Spill;
+  FreshRecord *Fresh = Inline;
+  if (N > InlineRecords) {
+    Spill.reset(new FreshRecord[N]);
+    Fresh = Spill.get();
+  }
+  for (size_t I = 0; I < N; ++I)
+    Fresh[I] = {nullptr, false};
   OpStatus St = OpStatus::Ok;
-  return runBudgeted(B, St, [&](stm::Txn &Tx) {
+  OpStatus R = runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::Ok;
     for (size_t I = 0; I < N; ++I) {
       assert(Vals[I] != Tombstone && "Tombstone is reserved");
+      Fresh[I].Used = false;
       uint32_t Shard = shardOf(Keys[I]);
       ShardRep &S = Reps[Shard];
       int FirstFree = -1;
@@ -384,9 +404,17 @@ OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
         continue;
       }
       uint32_t Target = uint32_t(Slot >= 0 ? Slot : FirstFree);
-      Object *V = H.allocate(&ValueType, stm::config().birthState());
-      V->rawStore(0, Vals[I]);
-      ValueAllocated.fetch_add(1, std::memory_order_relaxed);
+      Object *V = Fresh[I].V;
+      if (V) {
+        // Allocated by an aborted attempt, whose ref store may have
+        // published it: write transactionally, as insert does.
+        Tx.write(V, 0, Vals[I]);
+      } else {
+        V = Fresh[I].V = H.allocate(&ValueType, stm::config().birthState());
+        V->rawStore(0, Vals[I]);
+        ValueAllocated.fetch_add(1, std::memory_order_relaxed);
+      }
+      Fresh[I].Used = true;
       if (Slot < 0) {
         Tx.write(S.Keys, Target, Keys[I] + 1);
         Tx.write(S.Meta, 0, Tx.read(S.Meta, 0) + 1);
@@ -396,6 +424,15 @@ OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
       PerKey[I] = OpStatus::Ok;
     }
   });
+  for (size_t I = 0; I < N; ++I) {
+    if (!Fresh[I].V || (R == OpStatus::Ok && Fresh[I].Used))
+      continue;
+    // Left over by an aborted attempt: park it public, as insert does.
+    stm::publishObject(Fresh[I].V);
+    ValueRetired.fetch_add(1, std::memory_order_relaxed);
+    pushRetired(shardOf(Keys[I]), Fresh[I].V, NoSlot);
+  }
+  return R;
 }
 
 OpStatus Store::erase(Word Key, const OpBudget &B) {

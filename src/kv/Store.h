@@ -294,7 +294,8 @@ public:
   struct ReclaimStats {
     uint64_t Allocated; ///< Fresh value-record allocations (monotone).
     uint64_t Retired;   ///< Records parked by erase, or left unlinked by
-                        ///< an insert's aborted attempt (monotone).
+                        ///< an insert's or multiPut's aborted attempt
+                        ///< (monotone).
     uint64_t Recycled;  ///< Parked records reused by insert (monotone).
     uint64_t PoolSize;  ///< Records currently parked across all shards.
   };

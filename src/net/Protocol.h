@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The fixed-header, length-prefixed binary protocol spoken between
-/// kv_service --serve and its clients (net/Client.h, bench/kv_loadgen).
+/// bench/kv_server and its clients (net/Client.h, bench/kv_loadgen).
 /// One frame shape serves both directions:
 ///
 ///   offset  size  field

@@ -106,6 +106,8 @@ bool Interp::run() {
   stm::Config Cfg = stm::config();
   Cfg.DeaEnabled = Opts.Dea;
   stm::ScopedConfig SC(Cfg);
+  // The step budget is per run: a thread's earlier runs must not use it up.
+  threadCtx().Steps = 0;
   threadMain(M.MainFunc, {});
   // Join stragglers the program did not join itself.
   for (;;) {

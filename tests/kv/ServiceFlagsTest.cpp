@@ -4,12 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The incoherent-flag matrix for bench/ServiceFlags.h: every combination
+// The incoherent-flag rules of bench/ServiceFlags.h: every combination
 // kv_service rejects (exit 2 before any setup) and the nearby coherent
 // ones it must keep accepting. Each rejected combo would otherwise run
 // and emit a misleading bench entry — overload numbers with no offered rate,
-// sync-durability entries cut short by smoke budgets, or a --wal-dir that
-// silently did nothing.
+// sync-durability entries cut short by smoke budgets, or a --wal-dir or
+// checkpointer that silently did nothing. Flags a binary does not take at
+// all are usage errors, checked by the bench-smoke CTests in
+// bench/CMakeLists.txt.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,74 +93,6 @@ TEST(ServiceFlags, WalDirRequiresADurabilityMode) {
   expectRejected(F, "--wal-dir", "wal dir with durability off");
 }
 
-TEST(ServiceFlags, ServeCoherentCombinationsPass) {
-  ServiceFlags F = base();
-  F.Serve = true;
-  expectOk(F, "plain serve");
-
-  F = base();
-  F.Serve = true;
-  F.IoThreadsSet = true;
-  F.NetBatchSet = true;
-  expectOk(F, "serve with event-loop tuning");
-
-  // Socket-level shed needs no in-process arrival clock.
-  F = base();
-  F.Serve = true;
-  F.Overload = true;
-  expectOk(F, "serve + overload policy");
-
-  F = base();
-  F.Serve = true;
-  F.Durability = kv::DurabilityMode::Sync;
-  expectOk(F, "serve + sync durability");
-}
-
-TEST(ServiceFlags, ServeRejectsInProcessArrivalClock) {
-  ServiceFlags F = base();
-  F.Serve = true;
-  F.Qps = 50000;
-  expectRejected(F, "--qps", "serve + qps");
-}
-
-TEST(ServiceFlags, ServeRejectsClosedLoopThreadPool) {
-  ServiceFlags F = base();
-  F.Serve = true;
-  F.ThreadsSet = true;
-  expectRejected(F, "--io-threads", "serve + threads");
-}
-
-TEST(ServiceFlags, ServeRejectsTimeBudgetHarnesses) {
-  ServiceFlags F = base();
-  F.Serve = true;
-  F.Smoke = true;
-  expectRejected(F, "--smoke", "serve + smoke");
-
-  F = base();
-  F.Serve = true;
-  F.Suite = true;
-  expectRejected(F, "--smoke/--suite", "serve + suite");
-}
-
-TEST(ServiceFlags, NetTuningFlagsRequireServe) {
-  ServiceFlags F = base();
-  F.IoThreadsSet = true;
-  expectRejected(F, "--serve", "io-threads without serve");
-
-  F = base();
-  F.NetBatchSet = true;
-  expectRejected(F, "--serve", "net-batch without serve");
-}
-
-TEST(ServiceFlags, LoadgenRequiresAnOfferedRate) {
-  ServiceFlags F = base();
-  F.Loadgen = true;
-  expectRejected(F, "--qps", "loadgen without qps");
-
-  F.Qps = 10000;
-  expectOk(F, "loadgen with an offered rate");
-}
-
 TEST(ServiceFlags, CheckpointRequiresADurabilityMode) {
   ServiceFlags F = base();
   F.CheckpointSet = true;
@@ -170,57 +104,6 @@ TEST(ServiceFlags, CheckpointRequiresADurabilityMode) {
 
   F.Durability = kv::DurabilityMode::Sync;
   expectOk(F, "checkpoint interval over a sync log");
-
-  F = base();
-  F.Serve = true;
-  F.CheckpointSet = true;
-  F.Durability = kv::DurabilityMode::Sync;
-  expectOk(F, "serve + checkpointed sync durability");
-}
-
-TEST(ServiceFlags, RetriesIsLoadgenOnly) {
-  ServiceFlags F = base();
-  F.RetriesSet = true;
-  expectRejected(F, "--retries", "retries on kv_service");
-
-  F = base();
-  F.Serve = true;
-  F.RetriesSet = true;
-  expectRejected(F, "--retries", "retries on kv_service --serve");
-
-  F = base();
-  F.Loadgen = true;
-  F.Qps = 10000;
-  F.RetriesSet = true;
-  expectOk(F, "retries on kv_loadgen");
-}
-
-TEST(ServiceFlags, LoadgenRejectsCheckpointInterval) {
-  ServiceFlags F = base();
-  F.Loadgen = true;
-  F.Qps = 10000;
-  F.CheckpointSet = true;
-  expectRejected(F, "--checkpoint-interval", "loadgen + checkpoint interval");
-}
-
-TEST(ServiceFlags, LoadgenRejectsServerSideFlags) {
-  ServiceFlags F = base();
-  F.Loadgen = true;
-  F.Qps = 10000;
-  F.Serve = true;
-  expectRejected(F, "--host/--port", "loadgen + serve");
-
-  F = base();
-  F.Loadgen = true;
-  F.Qps = 10000;
-  F.IoThreadsSet = true;
-  expectRejected(F, "--host/--port", "loadgen + io-threads");
-
-  F = base();
-  F.Loadgen = true;
-  F.Qps = 10000;
-  F.NetBatchSet = true;
-  expectRejected(F, "--host/--port", "loadgen + net-batch");
 }
 
 } // namespace

@@ -265,6 +265,55 @@ TEST(KvStore, AbortedInsertAttemptsReuseTheirRecord) {
   EXPECT_EQ(RS.PoolSize, RS.Retired - RS.Recycled);
 }
 
+TEST(KvStore, AbortedMultiPutAttemptsReuseTheirRecords) {
+  // The net front end's PUT batch path: a re-executed batch must reuse
+  // each position's record, so no allocation ends up neither linked live
+  // nor parked.
+  rt::Heap H;
+  StoreConfig C;
+  C.Shards = 4;
+  C.CapacityPerShard = 128;
+  Store S(H, C);
+  FaultConfig FC;
+  std::string Err;
+  ASSERT_TRUE(FaultInjector::parse("seed=5,txn_commit=0.5", FC, Err)) << Err;
+  FaultInjector::arm(FC);
+  // Keys [Base, Base + Count), then Base again: the last position
+  // overwrites, in the same transaction, the record the first one linked.
+  auto PutBatch = [&](Word Base, size_t Count) {
+    std::vector<Word> Keys, Vals;
+    for (Word K = Base; K < Base + Count; ++K) {
+      Keys.push_back(K);
+      Vals.push_back(K + 1);
+    }
+    Keys.push_back(Base);
+    Vals.push_back(Base + 100);
+    std::vector<OpStatus> PerKey(Keys.size(), OpStatus::Full);
+    ASSERT_EQ(S.multiPut(Keys.data(), Vals.data(), Keys.size(),
+                         PerKey.data()),
+              OpStatus::Ok);
+    for (OpStatus P : PerKey)
+      EXPECT_EQ(P, OpStatus::Ok);
+  };
+  for (Word Base = 0; Base < 32; Base += 8)
+    PutBatch(Base, 8);
+  PutBatch(32, 80); // Past the 64 records multiPut tracks on the stack.
+  uint64_t Fired = FaultInjector::firedCount(FaultSite::TxnCommit);
+  FaultInjector::disarm();
+  EXPECT_GT(Fired, 0u) << "no multiPut attempt was aborted";
+  uint64_t LiveLinked = 0;
+  for (Word K = 0; K < 112; ++K) {
+    Word V = 0;
+    EXPECT_TRUE(S.get(K, V));
+    EXPECT_EQ(V, K % 8 || K > 32 ? K + 1 : K + 100);
+    LiveLinked += S.valueObjectFor(K) != nullptr;
+  }
+  EXPECT_EQ(LiveLinked, 112u);
+  Store::ReclaimStats RS = S.reclaimStats();
+  EXPECT_EQ(RS.Allocated, LiveLinked + RS.PoolSize);
+  EXPECT_EQ(RS.PoolSize, RS.Retired - RS.Recycled);
+}
+
 TEST(KvStore, ShapeRoundsUpToPowersOfTwo) {
   rt::Heap H;
   StoreConfig C;

@@ -38,7 +38,7 @@ using namespace satm::net;
 namespace {
 
 /// Server tests run in the service's production shape: +DEA strong mode,
-/// like kv_service --serve. The snapshot version table keys raw Object*
+/// like bench/kv_server. The snapshot version table keys raw Object*
 /// into this fixture's heap, so it is cleared before the heap dies.
 class ServerTest : public ::testing::Test {
 protected:

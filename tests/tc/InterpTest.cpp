@@ -287,6 +287,21 @@ TEST(Interp, StepBudgetStopsRunaways) {
   EXPECT_NE(I.error().find("step budget"), std::string::npos);
 }
 
+TEST(Interp, StepBudgetIsPerRun) {
+  // Each run takes about half the budget; four runs in one thread would
+  // exceed it if the count carried over between runs.
+  Diag D;
+  ir::Module M = compile(
+      "fn main() { var i = 0; while (i < 1000) { i = i + 1; } }", {}, D);
+  ASSERT_FALSE(D.hasErrors()) << D.str();
+  Interp::Options O;
+  O.MaxSteps = 10000;
+  for (int Run = 0; Run < 4; ++Run) {
+    Interp I(M, O);
+    EXPECT_TRUE(I.run()) << "run " << Run << ": " << I.error();
+  }
+}
+
 /// The same concurrency program must produce identical results under every
 /// execution mode (weak is fine here: all shared accesses are inside
 /// atomic) and pass configuration.
