@@ -7,8 +7,9 @@
 // Serves the SATM-KV store over TCP: the store and durability plane
 // bench/kv_service runs in-process (bench/ServiceStack.h, same +DEA
 // strong-atomicity configuration), fronted by the src/net epoll server
-// (DESIGN.md §13) instead of in-process workers. Clients speak the binary
-// protocol of net/Protocol.h; bench/kv_loadgen drives it open-loop.
+// (DESIGN.md §13), whose I/O threads run each request they decode.
+// Clients speak the binary protocol of net/Protocol.h; bench/kv_loadgen
+// drives it open-loop.
 //
 // It runs until a SHUTDOWN frame (kv_loadgen --stop-server), SIGINT or
 // SIGTERM, then tears down in order: server, checkpointer, WAL.
@@ -80,19 +81,19 @@ int runServe(const StackConfig &C, net::ServerConfig NC,
     Sv.stop();
     return 1;
   }
-  std::printf("kv_server: serving %s:%u (io=%u workers=%u batch=%u "
-              "overload=%s durability=%s)\n",
-              NC.Host.c_str(), unsigned(Sv.port()), NC.IoThreads, NC.Workers,
-              NC.NetBatch, NC.Shed ? "shed" : "queue",
+  std::printf("kv_server: serving %s:%u (io=%u batch=%u overload=%s "
+              "durability=%s)\n",
+              NC.Host.c_str(), unsigned(Sv.port()), NC.IoThreads, NC.NetBatch,
+              NC.Shed ? "shed" : "queue",
               kv::durabilityModeName(C.Dur));
   std::fflush(stdout);
 
   while (!Sv.stopRequested())
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  // Ordered teardown (DESIGN.md §13): the server drains its queues and
-  // closes every socket before the WAL stops, so no late batch can append
-  // to a stopped log.
+  // Ordered teardown (DESIGN.md §13): the server executes its last
+  // batches and closes every socket before the WAL stops, so no late
+  // batch can append to a stopped log.
   Sv.stop();
   GServer.store(nullptr, std::memory_order_release);
   net::ServerStats SS = Sv.stats();
@@ -119,7 +120,6 @@ int runServe(const StackConfig &C, net::ServerConfig NC,
 int main(int argc, char **argv) {
   StackConfig C;
   net::ServerConfig NC;
-  NC.Workers = 2;
   std::string PortFile;
   for (int I = 1; I < argc; ++I) {
     const char *A = argv[I];
@@ -144,8 +144,6 @@ int main(int argc, char **argv) {
       NC.Port = uint16_t(std::atoi(Colon + 1));
     } else if ((V = Val("--io-threads=")))
       NC.IoThreads = unsigned(std::atoi(V));
-    else if ((V = Val("--workers=")))
-      NC.Workers = unsigned(std::atoi(V));
     else if ((V = Val("--net-batch=")))
       NC.NetBatch = uint32_t(std::atoi(V));
     else if ((V = Val("--queue-cap=")))
@@ -155,8 +153,8 @@ int main(int argc, char **argv) {
     else {
       std::fprintf(stderr,
                    "usage: kv_server [--serve=ADDR:PORT] [--port-file=PATH]\n"
-                   "                 [--io-threads=N] [--workers=N]\n"
-                   "                 [--net-batch=N] [--queue-cap=N]\n"
+                   "                 [--io-threads=N] [--net-batch=N]\n"
+                   "                 [--queue-cap=N]\n"
                    "                 [store flags]\n"
                    "%s(--serve defaults to 127.0.0.1:0, an ephemeral port)\n",
                    StackFlagsUsage);

@@ -70,7 +70,7 @@ if [ "$MODE" = smoke ]; then
   # Wire smoke: one short open-loop point over loopback, enough to prove
   # the serve/loadgen handshake and the net JSON block end-to-end.
   scripts/net_stage.sh build/bench build/net_port_smoke \
-      --io-threads=1 --workers=2 --keys=16384 -- \
+      --io-threads=1 --keys=16384 -- \
     --qps=20000 --duration=1 --conns=2 --keys=16384 --seed=2026 \
     --mode=smoke --json=build/BENCH_net_smoke.json
   merge_json build/BENCH_micro_smoke.json build/BENCH_kv_smoke.json \
@@ -81,7 +81,7 @@ else
   ./build/bench/kv_service --suite --json=build/BENCH_kv.json | tee -a BENCH_satm.raw.txt
 
   echo "== net stage 1/2: open-loop capacity sweep (queue mode)" | tee -a BENCH_satm.raw.txt
-  scripts/net_stage.sh build/bench build/net_port --io-threads=2 --workers=2 -- \
+  scripts/net_stage.sh build/bench build/net_port --io-threads=2 -- \
     --sweep=25000:400000:7 --duration=3 --conns=4 --seed=2026 \
     --json=build/BENCH_net_queue.json 2>&1 | tee -a BENCH_satm.raw.txt
 
@@ -106,7 +106,7 @@ print(int(doc["benchmarks"][0]["net"]["slo_capacity"]))')
     SHED_LOAD="--qps=$((2 * CAPACITY))"
   fi
   echo "== net stage 2/2: shed mode at 2x capacity (${CAPACITY} qps x 2) + sweep top" | tee -a BENCH_satm.raw.txt
-  scripts/net_stage.sh build/bench build/net_port --io-threads=2 --workers=2 \
+  scripts/net_stage.sh build/bench build/net_port --io-threads=2 \
       --overload=shed --deadline-us=2000 --retry-budget=4 -- \
     "$SHED_LOAD" --duration=5 --conns=4 --seed=2026 \
     --tag=shed --json=build/BENCH_net_shed.json 2>&1 | tee -a BENCH_satm.raw.txt

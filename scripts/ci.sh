@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-#===- scripts/ci.sh - Tier-1 CI: plain + ThreadSanitizer ----------------===#
+#===- scripts/ci.sh - Tier-1 CI: plain + ThreadSanitizer + ASan/UBSan ---===#
 #
 # Part of the SATM project, reproducing Shpeisman et al., PLDI 2007.
 #
 # Builds and runs the full test suite twice: a regular RelWithDebInfo build,
-# then a ThreadSanitizer build (-DSATM_SANITIZE=thread). SATM_FAST_TESTS=1
-# trims the iteration-heavy stress tests so the whole script stays under a
-# couple of minutes.
+# then a ThreadSanitizer build (-DSATM_SANITIZE=thread). A third build under
+# AddressSanitizer + UndefinedBehaviorSanitizer
+# (-DSATM_SANITIZE=address,undefined) runs the net and durability suites and
+# the live server smoke. SATM_FAST_TESTS=1 trims the iteration-heavy stress
+# tests so the whole script stays short.
 #
 # Usage: scripts/ci.sh [jobs]
 #
@@ -108,13 +110,20 @@ echo "== disk-fault degradation sub-lane (seeded log_enospc, live server)"
 # errors), reads keep flowing, and the server must still exit 0 at
 # shutdown — the lane's assertion is that an injected disk fault never
 # becomes an ioFatal abort. kv_loadgen inherits the spec but runs no
-# WAL, so log_enospc never fires there.
+# WAL, so log_enospc never fires there. The 256-record checkpoint interval
+# makes the checkpointer run against the sealed log within the 1 s run; the
+# lane fails if the server reports no checkpoint written.
 SATM_FAULTS="seed=23,log_enospc=0.02" scripts/net_stage.sh build/bench \
-  build/net_port_enospc --keys=16384 --io-threads=1 --workers=2 \
-  --durability=sync --checkpoint-interval=4096 -- \
+  build/net_port_enospc --keys=16384 --io-threads=1 \
+  --durability=sync --checkpoint-interval=256 -- \
   --qps=5000 --duration=1 --conns=2 --keys=16384 --mode=smoke --retries=2 \
-  --json=build/BENCH_net_enospc.json
+  --json=build/BENCH_net_enospc.json 2>&1 | tee build/net_enospc.log
 scripts/check_bench_schema.sh --require-net build/BENCH_net_enospc.json
+if ! grep -Eq "^kv_server: [1-9][0-9]* checkpoints written" \
+    build/net_enospc.log; then
+  echo "ci.sh: the disk-fault lane wrote no checkpoint" >&2
+  exit 1
+fi
 
 echo "== ThreadSanitizer build"
 cmake -B build-tsan -S . -DSATM_SANITIZE=thread
@@ -139,7 +148,7 @@ echo "== TSan net front-end fault lane"
 
 echo "== TSan loopback serve/loadgen smoke (real sockets end-to-end)"
 scripts/net_stage.sh build-tsan/bench build-tsan/net_port_smoke \
-  --keys=16384 --io-threads=1 --workers=2 -- \
+  --keys=16384 --io-threads=1 -- \
   --qps=5000 --duration=1 --conns=2 --keys=16384 --mode=smoke \
   --json=build-tsan/BENCH_net_smoke.json
 scripts/check_bench_schema.sh --require-net build-tsan/BENCH_net_smoke.json
@@ -157,4 +166,17 @@ SATM_TRACE=1 SATM_STATS=1 ./build-tsan/bench/kv_service --smoke \
 scripts/check_bench_schema.sh --require-kv \
   --require-durability build-tsan/BENCH_kv_smoke_trace.json
 
-echo "== CI green (plain + tsan, SATM_FAST_TESTS=$SATM_FAST_TESTS)"
+echo "== AddressSanitizer + UndefinedBehaviorSanitizer build"
+# Connection lifetime on the server (a batch can still hold requests of a
+# connection closed earlier in the same loop iteration) and the binary
+# parsers are use-after-free / out-of-bounds territory that TSan does not
+# check. Every UBSan finding is fatal (-fno-sanitize-recover=undefined).
+cmake -B build-asan -S . -DSATM_SANITIZE=address,undefined
+cmake --build build-asan -j "$JOBS"
+
+echo "== ASan/UBSan net and durability lanes"
+(cd build-asan && ctest --output-on-failure -j "$JOBS" -L net)
+(cd build-asan && ctest --output-on-failure -L durability)
+(cd build-asan && ctest --output-on-failure -R "^kv_server_loadgen_smoke$")
+
+echo "== CI green (plain + tsan + asan/ubsan, SATM_FAST_TESTS=$SATM_FAST_TESTS)"

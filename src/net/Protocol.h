@@ -39,8 +39,10 @@
 /// closes the connection instead.
 ///
 /// Connections are pipelined: clients may have any number of requests in
-/// flight; responses come back in server completion order (per-shard
-/// batching reorders across shards), matched by correlation id.
+/// flight, and responses are matched by correlation id. The responses of
+/// one executed batch leave in request order, but requests the server
+/// answers without executing them (STATS, SHUTDOWN, sheds) can overtake
+/// earlier requests still waiting in the batch.
 ///
 /// The wire format is little-endian by fiat (every deployment target of
 /// this repo is LE); encode/decode go through memcpy so unaligned

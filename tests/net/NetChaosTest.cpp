@@ -162,7 +162,6 @@ int chaosChild(const char *Dir) {
 
   net::ServerConfig NC;
   NC.IoThreads = 1;
-  NC.Workers = 2;
   NC.SyncWal = &W; // Acks wait out the fsync (or turn DurabilityLost).
   NC.StatsWal = &W;
   net::Server Sv(S, NC);
