@@ -54,8 +54,9 @@ struct StackConfig {
   /// Contention-manager knobs forwarded to stm::Config.
   uint32_t IrrevocableAfterAborts = 0;
   bool Karma = false;
-  /// Durability plane (DESIGN.md §12): attach a per-shard redo log; under
-  /// Sync, ack mutations only after their group-commit fsync.
+  /// Durability plane (DESIGN.md §12): attach the redo log, one file and
+  /// one fsync per group-commit cycle whatever Shards is; under Sync, ack
+  /// mutations only after their group-commit fsync.
   kv::DurabilityMode Dur = kv::DurabilityMode::Off;
   std::string WalDir; ///< Log directory; empty = per-pid /tmp scratch.
   /// Checkpoint + WAL-compaction plane (DESIGN.md §14): snapshot the
@@ -178,7 +179,6 @@ struct ServiceStack {
     // replay), so it attaches only after the bulk inserts.
     ScratchLog = C.WalDir.empty();
     WC.Dir = ScratchLog ? defaultWalDir(Tag) : C.WalDir;
-    WC.Shards = S.shards();
     std::filesystem::remove_all(WC.Dir); // Start from an empty log.
     W.emplace(WC);
     W->start();

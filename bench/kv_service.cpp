@@ -41,10 +41,11 @@
 // Three durability modes (--durability=off|async|sync, DESIGN.md §12):
 //  - off (default): no write-ahead log at all — the log path is elided
 //    down to one predicted branch per mutation.
-//  - async: committing transactions publish redo records into per-shard
-//    rings at their Quiescence publish ticket; background drain threads
-//    group-commit them with batched fsync. Requests ack at ring publish,
-//    so a crash loses at most the un-fsynced window.
+//  - async: committing transactions publish redo records into the log's
+//    one ring at their Quiescence publish ticket; one background drain
+//    thread group-commits them into one file, one writev and one fsync
+//    per cycle whatever --shards is. Requests ack at ring publish, so a
+//    crash loses at most the un-fsynced window.
 //  - sync: requests ack only after waitDurable observes their commit's
 //    group fsynced; the wait is charged to the request's latency. Acked
 //    writes survive any kill point.

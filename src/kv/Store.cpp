@@ -175,14 +175,13 @@ bool Store::get(Word Key, Word &Out) const {
   return false;
 }
 
-void Store::logRedo(stm::Txn &Tx, uint32_t Shard, WalOp Op, Word Key,
-                    Word Val) {
+void Store::logRedo(stm::Txn &Tx, WalOp Op, Word Key, Word Val) {
   if (!DurableLog)
     return; // --durability=off: the log path is fully elided.
   stm::Txn::PublishEntry E;
   E.Fn = &Wal::publishHook;
   E.Ctx = DurableLog;
-  E.A = (Word(uint8_t(Op)) << 32) | Shard;
+  E.A = Word(uint8_t(Op));
   E.B = Key;
   E.C = Val;
   Tx.onPublish(E);
@@ -276,7 +275,7 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
       if (V) {
         // Present: overwrite in place.
         Tx.write(V, 0, Val);
-        logRedo(Tx, Shard, WalOp::Put, Key, Val);
+        logRedo(Tx, WalOp::Put, Key, Val);
         return;
       }
       // Erased key: resurrect by relinking a value record below. Meta is
@@ -333,7 +332,7 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
         Tx.write(S.Meta, 0, Tx.read(S.Meta, 0) + 1);
     }
     Tx.writeRef(S.Vals, uint32_t(Target), V);
-    logRedo(Tx, Shard, WalOp::Put, Key, Val);
+    logRedo(Tx, WalOp::Put, Key, Val);
   });
   if (Harvested) {
     if (R == OpStatus::Ok && UsedRecycled)
@@ -392,7 +391,7 @@ OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
           // writes land in place, so the probe read our own insert):
           // overwrite.
           Tx.write(V, 0, Vals[I]);
-          logRedo(Tx, Shard, WalOp::Put, Keys[I], Vals[I]);
+          logRedo(Tx, WalOp::Put, Keys[I], Vals[I]);
           PerKey[I] = OpStatus::Ok;
           continue;
         }
@@ -420,7 +419,7 @@ OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
         Tx.write(S.Meta, 0, Tx.read(S.Meta, 0) + 1);
       }
       Tx.writeRef(S.Vals, Target, V);
-      logRedo(Tx, Shard, WalOp::Put, Keys[I], Vals[I]);
+      logRedo(Tx, WalOp::Put, Keys[I], Vals[I]);
       PerKey[I] = OpStatus::Ok;
     }
   });
@@ -457,7 +456,7 @@ OpStatus Store::erase(Word Key, const OpBudget &B) {
       ValueRetired.fetch_add(1, std::memory_order_relaxed);
       pushRetired(Shard, V, Slot);
     });
-    logRedo(Tx, Shard, WalOp::Erase, Key, 0);
+    logRedo(Tx, WalOp::Erase, Key, 0);
     St = OpStatus::Ok;
   });
 }
@@ -487,7 +486,7 @@ OpStatus Store::cas(Word Key, Word Expected, Word Desired,
       return;
     }
     Tx.write(V, 0, Desired);
-    logRedo(Tx, shardOf(Key), WalOp::Put, Key, Desired);
+    logRedo(Tx, WalOp::Put, Key, Desired);
     St = OpStatus::Ok;
   });
 }
@@ -596,8 +595,21 @@ OpStatus Store::readModifyWrite(
     const Word *Keys, size_t N,
     const std::function<void(Word *Vals, size_t N)> &Mutate,
     const OpBudget &B) {
-  std::vector<Word> Buf(N);
-  std::vector<rt::Object *> Objs(N);
+  // Per-key values and value records: on the stack up to the net front
+  // end's 64-key frame, as in multiPut; wider calls spill to the heap.
+  constexpr size_t InlineKeys = 64;
+  Word InlineBuf[InlineKeys];
+  rt::Object *InlineObjs[InlineKeys];
+  std::unique_ptr<Word[]> SpillBuf;
+  std::unique_ptr<rt::Object *[]> SpillObjs;
+  Word *Buf = InlineBuf;
+  rt::Object **Objs = InlineObjs;
+  if (N > InlineKeys) {
+    SpillBuf.reset(new Word[N]);
+    SpillObjs.reset(new rt::Object *[N]);
+    Buf = SpillBuf.get();
+    Objs = SpillObjs.get();
+  }
   OpStatus St = OpStatus::Ok;
   return runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::NotFound;
@@ -613,11 +625,11 @@ OpStatus Store::readModifyWrite(
       if (Buf[I] == Tombstone)
         return;
     }
-    Mutate(Buf.data(), N);
+    Mutate(Buf, N);
     for (size_t I = 0; I < N; ++I) {
       assert(Buf[I] != Tombstone && "Tombstone is reserved");
       Tx.write(Objs[I], 0, Buf[I]);
-      logRedo(Tx, shardOf(Keys[I]), WalOp::Put, Keys[I], Buf[I]);
+      logRedo(Tx, WalOp::Put, Keys[I], Buf[I]);
     }
     St = OpStatus::Ok;
   });

@@ -357,7 +357,7 @@ private:
 
   /// Registers a publish-window redo append for the committing operation
   /// when a Wal is attached; no-op (one predicted branch) otherwise.
-  void logRedo(stm::Txn &Tx, uint32_t Shard, WalOp Op, Word Key, Word Val);
+  void logRedo(stm::Txn &Tx, WalOp Op, Word Key, Word Val);
 
   /// Probe under transaction \p Tx (passed in so the per-key hot loops pay
   /// no thread-local descriptor lookup); returns the slot holding \p Key

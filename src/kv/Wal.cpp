@@ -19,8 +19,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <vector>
 
 #include <fcntl.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 using namespace satm;
@@ -75,74 +78,79 @@ void ioFatal(const char *What, const std::string &Path) {
   std::abort();
 }
 
-} // namespace
-
-uint64_t Wal::lastAppendedLsn() { return TlsLastAppendedLsn; }
-
-std::string Wal::shardFile(uint32_t Shard) const {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "/shard-%04u.wal", Shard);
-  return Cfg.Dir + Buf;
-}
-
-Wal::Wal(const Config &C) : Cfg(C) {
-  assert((Cfg.RingSlots & (Cfg.RingSlots - 1)) == 0 && "ring is power of two");
-  if (Cfg.DrainThreads == 0)
-    Cfg.DrainThreads = 1;
-  std::error_code Ec;
-  std::filesystem::create_directories(Cfg.Dir, Ec); // Pre-existing is fine.
-  Rings = std::vector<Ring>(Cfg.Shards);
-  for (auto &R : Rings)
-    R.Buf = std::make_unique<WalRecord[]>(Cfg.RingSlots);
-  Fds.assign(Cfg.Shards, -1);
-  FileLocks.resize(Cfg.Shards);
-  for (auto &M : FileLocks)
-    M = std::make_unique<std::mutex>();
-  ThreadCut.assign(Cfg.DrainThreads, 0);
-}
-
-Wal::~Wal() {
-  stop();
-  for (int Fd : Fds)
-    if (Fd >= 0)
-      ::close(Fd);
-}
-
-void Wal::start() {
-  assert(!Started && "wal already started");
-  for (uint32_t S = 0; S < Cfg.Shards; ++S) {
-    if (Fds[S] >= 0)
-      continue;
-    Fds[S] = ::open(shardFile(S).c_str(), O_CREAT | O_WRONLY | O_APPEND,
-                    0644);
-    if (Fds[S] < 0)
-      ioFatal("open", shardFile(S));
-  }
-  // Persist the directory entries once, so a crash right after start
-  // cannot lose the (empty) shard files themselves.
-  int DirFd = ::open(Cfg.Dir.c_str(), O_RDONLY | O_DIRECTORY);
+void fsyncDir(const std::string &Dir) {
+  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (DirFd >= 0) {
     ::fsync(DirFd);
     ::close(DirFd);
   }
+}
+
+/// Writes \p Iov[0..N) fully, resuming after short writes and EINTR.
+/// Returns the bytes written, short only on an error (errno set).
+size_t writeAll(int Fd, iovec *Iov, int N) {
+  size_t Done = 0;
+  while (N > 0) {
+    ssize_t W = ::writev(Fd, Iov, N);
+    if (W < 0 && errno == EINTR)
+      continue;
+    if (W <= 0)
+      break;
+    Done += size_t(W);
+    size_t Left = size_t(W);
+    for (; N > 0 && Left >= Iov->iov_len; --N, ++Iov)
+      Left -= Iov->iov_len;
+    if (N > 0) {
+      Iov->iov_base = static_cast<char *>(Iov->iov_base) + Left;
+      Iov->iov_len -= Left;
+    }
+  }
+  return Done;
+}
+
+} // namespace
+
+uint64_t Wal::lastAppendedLsn() { return TlsLastAppendedLsn; }
+
+Wal::Wal(const Config &C) : Cfg(C) {
+  assert((Cfg.RingSlots & (Cfg.RingSlots - 1)) == 0 && "ring is power of two");
+  std::error_code Ec;
+  std::filesystem::create_directories(Cfg.Dir, Ec); // Pre-existing is fine.
+  Ring = std::make_unique<WalRecord[]>(Cfg.RingSlots);
+}
+
+Wal::~Wal() {
+  stop();
+  if (Fd >= 0)
+    ::close(Fd);
+}
+
+void Wal::start() {
+  assert(!Started && "wal already started");
+  if (Fd < 0) {
+    Fd = ::open(logFile(Cfg.Dir).c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+    if (Fd < 0)
+      ioFatal("open", logFile(Cfg.Dir));
+  }
+  // Persist the directory entry once, so a crash right after start cannot
+  // lose the (empty) log file itself.
+  fsyncDir(Cfg.Dir);
   // A restart of the same instance continues past everything it already
-  // published (the rings are empty here: stop() drained them).
+  // published (the ring is empty here: stop() drained it).
   LastLsn = std::max(LastLsn, PublishedLsn.load(std::memory_order_relaxed));
   // Derive the LSN base from the *live* ticket counter, not from an
   // assumed fresh-process value: recovery replay under SnapshotEnabled,
   // pre-attach prepopulation, and earlier runs in this process all
-  // consume publish tickets, and the merge's hole rule (recover(), phase
-  // 2) needs the first logged commit to land at exactly LastLsn + 1.
-  // Unsigned wrap-around in the subtraction is fine — append computes
-  // BaseLsn + Ticket, which unwraps it.
+  // consume publish tickets, and recovery's contiguity check needs the
+  // first logged commit to land at exactly LastLsn + 1. Unsigned
+  // wrap-around in the subtraction is fine — append computes BaseLsn +
+  // Ticket, which unwraps it.
   BaseLsn = LastLsn - stm::Quiescence::lastPublishTicket();
   PublishedLsn.store(LastLsn, std::memory_order_relaxed);
   DurableLsn.store(LastLsn, std::memory_order_relaxed);
-  ThreadCut.assign(Cfg.DrainThreads, LastLsn);
   Stopping.store(false, std::memory_order_relaxed);
   Started = true;
-  for (unsigned T = 0; T < Cfg.DrainThreads; ++T)
-    Drainers.emplace_back([this, T] { drainLoop(T); });
+  Drainer = std::thread([this] { drainLoop(); });
 }
 
 void Wal::stop() {
@@ -153,9 +161,7 @@ void Wal::stop() {
     Stopping.store(true, std::memory_order_release);
   }
   DrainCv.notify_all();
-  for (auto &T : Drainers)
-    T.join();
-  Drainers.clear();
+  Drainer.join();
   Started = false;
 }
 
@@ -163,14 +169,14 @@ void Wal::stop() {
 // Commit side (publish window).
 //===----------------------------------------------------------------------===
 
-void Wal::append(uint32_t Shard, WalOp Op, Word Key, Word Val,
-                 uint64_t Ticket, uint32_t Index, uint32_t Count) {
+void Wal::append(WalOp Op, Word Key, Word Val, uint64_t Ticket,
+                 uint32_t Index, uint32_t Count) {
   assert(Started && "append on a stopped wal");
   if (faultPoint(FaultSite::LogAppend))
     faultSpin(FaultInjector::arg(FaultSite::LogAppend));
   const uint64_t Lsn = BaseLsn + Ticket;
   if (DegradedFlag.load(std::memory_order_acquire)) {
-    // Sealed log: commits keep flowing, but feeding the rings would only
+    // Sealed log: commits keep flowing, but feeding the ring would only
     // queue records no drainer will ever make durable. Keep the LSN
     // bookkeeping honest (PublishedLsn stays monotone for a later
     // stop()/start(); the per-thread LSN still routes the committer to
@@ -182,30 +188,29 @@ void Wal::append(uint32_t Shard, WalOp Op, Word Key, Word Val,
       PublishedLsn.store(Lsn, std::memory_order_release);
     return;
   }
-  Ring &R = Rings[Shard];
   const uint32_t Mask = Cfg.RingSlots - 1;
-  uint64_t H = R.Head.load(std::memory_order_relaxed);
+  uint64_t H = Head.load(std::memory_order_relaxed);
   // Backpressure: wait for the drainer, never overwrite. This is the one
   // blocking wait allowed in the publish window — it is on an I/O thread
   // that holds no publish ticket and no STM state, so it cannot close a
   // wait cycle through the publish order (see Wal.h).
-  if (H - R.Tail.load(std::memory_order_acquire) >= Cfg.RingSlots) {
+  if (H - Tail.load(std::memory_order_acquire) >= Cfg.RingSlots) {
     StatRingStalls.fetch_add(1, std::memory_order_relaxed);
     DrainCv.notify_one();
     Backoff B;
-    while (H - R.Tail.load(std::memory_order_acquire) >= Cfg.RingSlots)
+    while (H - Tail.load(std::memory_order_acquire) >= Cfg.RingSlots)
       B.pause();
   }
-  WalRecord &Rec = R.Buf[H & Mask];
+  WalRecord &Rec = Ring[H & Mask];
   Rec.Lsn = Lsn;
   Rec.Meta = WalRecord::packMeta(Op, Index, Count);
   Rec.Key = Key;
   Rec.Val = Val;
   Rec.Check = Rec.checksum();
-  R.Head.store(H + 1, std::memory_order_release);
+  Head.store(H + 1, std::memory_order_release);
   StatAppends.fetch_add(1, std::memory_order_relaxed);
   TlsLastAppendedLsn = Lsn;
-  // The group becomes drainable only once its last record is in a ring:
+  // The group becomes drainable only once its last record is in the ring:
   // a drain cut at this LSN must never fsync-ack a half-appended
   // transaction (waitDurable would then ack a write recovery drops).
   if (Index + 1 == Count)
@@ -214,18 +219,14 @@ void Wal::append(uint32_t Shard, WalOp Op, Word Key, Word Val,
 
 void Wal::publishHook(void *Ctx, uint64_t Ticket, uint32_t Index,
                       uint32_t Count, Word A, Word B, Word C) {
-  static_cast<Wal *>(Ctx)->append(uint32_t(A & 0xffffffffu),
-                                  WalOp(uint32_t(A >> 32)), B, C, Ticket,
-                                  Index, Count);
+  static_cast<Wal *>(Ctx)->append(WalOp(A), B, C, Ticket, Index, Count);
 }
 
 //===----------------------------------------------------------------------===
 // Drain side (group commit).
 //===----------------------------------------------------------------------===
 
-void Wal::drainLoop(unsigned ThreadIndex) {
-  std::vector<uint8_t> Scratch;
-  std::vector<uint32_t> DirtyShards;
+void Wal::drainLoop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> Lock(WaitMutex);
@@ -236,114 +237,77 @@ void Wal::drainLoop(unsigned ThreadIndex) {
                        });
     }
     bool Last = Stopping.load(std::memory_order_acquire);
-    drainCycle(ThreadIndex, Scratch, DirtyShards);
+    drainCycle();
     if (Last)
-      return; // Final cycle ran after Stopping was visible: rings empty.
+      return; // Final cycle ran after Stopping was visible: ring empty.
   }
 }
 
-void Wal::drainCycle(unsigned ThreadIndex, std::vector<uint8_t> &Scratch,
-                     std::vector<uint32_t> &DirtyShards) {
+void Wal::drainCycle() {
   // The cut is read *before* draining: every record with LSN <= Cut was
   // fully ring-published at that moment (PublishedLsn advances only after
   // a transaction's last record, and the publish window serializes
-  // groups), so emptying the rings below captures all of them.
+  // groups), so emptying the ring below captures all of them.
   const uint64_t Cut = PublishedLsn.load(std::memory_order_acquire);
   bool Degraded = DegradedFlag.load(std::memory_order_acquire);
-  DirtyShards.clear();
-  for (uint32_t S = ThreadIndex; S < Cfg.Shards; S += Cfg.DrainThreads) {
-    Ring &R = Rings[S];
-    uint64_t T = R.Tail.load(std::memory_order_relaxed);
-    const uint64_t H = R.Head.load(std::memory_order_acquire);
-    if (T == H)
-      continue;
-    Scratch.clear();
-    const uint32_t Mask = Cfg.RingSlots - 1;
-    for (; T != H; ++T) {
-      const WalRecord &Rec = R.Buf[T & Mask];
-      const uint8_t *P = reinterpret_cast<const uint8_t *>(&Rec);
-      Scratch.insert(Scratch.end(), P, P + sizeof(WalRecord));
+  const uint64_t T = Tail.load(std::memory_order_relaxed);
+  const uint64_t H = Head.load(std::memory_order_acquire);
+  if (T != H) {
+    const uint64_t Bytes = (H - T) * sizeof(WalRecord);
+    uint64_t Written = 0;
+    // Injected disk-full: the write fails as if write(2) returned ENOSPC.
+    // Real write errors take the same path — degrade, not abort.
+    if (!Degraded && faultPoint(FaultSite::LogEnospc)) {
+      errno = ENOSPC;
+      enterDegraded("write", logFile(Cfg.Dir));
+      Degraded = true;
     }
     // Degraded: keep consuming (producers must never stall on a ring no
     // one will drain) but discard — the log is sealed and these records
     // will never be fsync-acked.
-    if (Degraded) {
-      R.Tail.store(T, std::memory_order_release);
-      StatDroppedRecords.fetch_add(Scratch.size() / sizeof(WalRecord),
-                                   std::memory_order_relaxed);
-      continue;
-    }
-    // Injected disk-full: the shard write fails as if write(2) returned
-    // ENOSPC. Real write errors take the same path — degrade, not abort.
-    if (faultPoint(FaultSite::LogEnospc)) {
-      errno = ENOSPC;
-      enterDegraded("write", shardFile(S));
-      Degraded = true;
-      R.Tail.store(T, std::memory_order_release);
-      StatDroppedRecords.fetch_add(Scratch.size() / sizeof(WalRecord),
-                                   std::memory_order_relaxed);
-      continue;
-    }
-    size_t Off = 0;
-    bool WriteOk = true;
-    {
-      std::lock_guard<std::mutex> FLock(*FileLocks[S]);
-      while (Off < Scratch.size()) {
-        ssize_t N =
-            ::write(Fds[S], Scratch.data() + Off, Scratch.size() - Off);
-        if (N < 0) {
-          if (errno == EINTR)
-            continue;
-          WriteOk = false;
-          break;
-        }
-        Off += size_t(N);
-      }
-    }
-    R.Tail.store(T, std::memory_order_release);
-    if (!WriteOk) {
-      enterDegraded("write", shardFile(S));
-      Degraded = true;
-      StatDroppedRecords.fetch_add(
-          (Scratch.size() - Off + sizeof(WalRecord) - 1) / sizeof(WalRecord),
-          std::memory_order_relaxed);
-      continue;
-    }
-    StatRecordsWritten.fetch_add(Scratch.size() / sizeof(WalRecord),
-                                 std::memory_order_relaxed);
-    StatBytesWritten.fetch_add(Scratch.size(), std::memory_order_relaxed);
-    DirtyShards.push_back(S);
-  }
-  if (!DirtyShards.empty() && !Degraded) {
-    // Group commit: one fsync per dirty shard file covers every record
-    // that accumulated since the previous cycle; untouched files are
-    // skipped (an fsync can cost a device cache flush even when clean).
-    if (faultPoint(FaultSite::LogFsync))
-      faultSpin(FaultInjector::arg(FaultSite::LogFsync));
-    for (uint32_t S : DirtyShards) {
-      std::lock_guard<std::mutex> FLock(*FileLocks[S]);
-      if (::fsync(Fds[S]) < 0) {
-        enterDegraded("fsync", shardFile(S));
+    if (!Degraded) {
+      // The unconsumed records are at most two contiguous ring spans,
+      // written in place: the producer cannot reuse a slot before Tail
+      // moves past it below.
+      const uint64_t First = T & (Cfg.RingSlots - 1);
+      const uint64_t FirstBytes = std::min<uint64_t>(
+          Bytes, (Cfg.RingSlots - First) * sizeof(WalRecord));
+      iovec Iov[2] = {{&Ring[First], FirstBytes},
+                      {&Ring[0], Bytes - FirstBytes}};
+      std::lock_guard<std::mutex> FLock(FileLock);
+      Written = writeAll(Fd, Iov, Bytes > FirstBytes ? 2 : 1);
+      if (Written < Bytes) {
+        enterDegraded("write", logFile(Cfg.Dir));
         Degraded = true;
-        break;
+      } else {
+        // Group commit: one fsync covers every record that accumulated
+        // since the previous cycle.
+        if (faultPoint(FaultSite::LogFsync))
+          faultSpin(FaultInjector::arg(FaultSite::LogFsync));
+        if (::fsync(Fd) < 0) {
+          enterDegraded("fsync", logFile(Cfg.Dir));
+          Degraded = true;
+        } else {
+          StatFsyncBatches.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     }
-    if (!Degraded)
-      StatFsyncBatches.fetch_add(1, std::memory_order_relaxed);
+    Tail.store(H, std::memory_order_release);
+    const uint64_t WholeRecords = Written / sizeof(WalRecord);
+    StatRecordsWritten.fetch_add(WholeRecords, std::memory_order_relaxed);
+    StatBytesWritten.fetch_add(Written, std::memory_order_relaxed);
+    if (Written < Bytes)
+      StatDroppedRecords.fetch_add(H - T - WholeRecords,
+                                   std::memory_order_relaxed);
   }
-  // Advance durability to the minimum cut over all drain threads — even
-  // on an idle cycle (an empty ring means this thread's shards were
-  // already durable up to Cut). Never while degraded: a failed write or
-  // fsync anywhere this cycle means Cut was not honestly reached, and
-  // DurableLsn stays frozen at the last cut that was.
-  if (!Degraded) {
+  // Advance durability to the cut — even on an idle cycle (an empty ring
+  // means every record up to Cut was written and fsynced by an earlier
+  // cycle). Never while degraded: a failed write or fsync means Cut was
+  // not honestly reached, and DurableLsn stays frozen at the last cut
+  // that was.
+  if (!Degraded && Cut > DurableLsn.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> Lock(WaitMutex);
-    ThreadCut[ThreadIndex] = std::max(ThreadCut[ThreadIndex], Cut);
-    uint64_t Min = ThreadCut[0];
-    for (uint64_t C : ThreadCut)
-      Min = std::min(Min, C);
-    if (Min > DurableLsn.load(std::memory_order_relaxed))
-      DurableLsn.store(Min, std::memory_order_release);
+    DurableLsn.store(Cut, std::memory_order_release);
   }
   DurableCv.notify_all();
 }
@@ -361,6 +325,9 @@ void Wal::enterDegraded(const char *What, const std::string &Path) {
   }
   // Every parked sync waiter must observe the seal and report
   // DurabilityLost instead of blocking on an LSN that will never come.
+  // Passing through the waiters' mutex orders the flag before any
+  // predicate check still to come, so no waiter sleeps through this.
+  { std::lock_guard<std::mutex> Lock(WaitMutex); }
   DurableCv.notify_all();
 }
 
@@ -411,87 +378,110 @@ WalStats Wal::stats() const {
 // Compaction (checkpoint barrier rotation).
 //===----------------------------------------------------------------------===
 
+namespace {
+
+/// Copies the records of \p In's byte range [From, To) whose LSN exceeds
+/// \p Barrier to \p Out, through a bounded buffer. The log is LSN-ordered,
+/// so the records skipped are a prefix of the range; \p Skipped grows by
+/// their bytes. False on an I/O error.
+bool copyAbove(int In, uint64_t From, uint64_t To, uint64_t Barrier, int Out,
+               uint64_t &Skipped) {
+  constexpr size_t ChunkRecords = 1024;
+  std::unique_ptr<WalRecord[]> Buf(new WalRecord[ChunkRecords]);
+  while (From < To) {
+    size_t Want = size_t(std::min<uint64_t>(To - From,
+                                            ChunkRecords * sizeof(WalRecord)));
+    ssize_t N = ::pread(In, Buf.get(), Want, off_t(From));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0 || size_t(N) % sizeof(WalRecord) != 0)
+      return false;
+    size_t Recs = size_t(N) / sizeof(WalRecord), Keep = 0;
+    while (Keep < Recs && Buf[Keep].Lsn <= Barrier)
+      ++Keep;
+    Skipped += Keep * sizeof(WalRecord);
+    iovec Iov{&Buf[Keep], (Recs - Keep) * sizeof(WalRecord)};
+    const size_t Len = Iov.iov_len;
+    if (Len && writeAll(Out, &Iov, 1) != Len)
+      return false;
+    From += uint64_t(N);
+  }
+  return true;
+}
+
+uint64_t fileSize(int Fd) {
+  struct stat St;
+  return ::fstat(Fd, &St) == 0 ? uint64_t(St.st_size) : 0;
+}
+
+} // namespace
+
 uint64_t Wal::truncateBelow(uint64_t Barrier) {
   assert(Started && "truncateBelow serves the live checkpointer");
-  // Only durable prefixes may be dropped: a record still in a ring (or
+  // Only durable prefixes may be dropped: a record still in the ring (or
   // never fsynced at all) below the barrier would otherwise vanish from
   // both the log and the next recovery. A degraded log skips rotation
-  // entirely — its files are frozen evidence.
+  // entirely — its file is frozen evidence.
   if (DegradedFlag.load(std::memory_order_acquire) ||
       DurableLsn.load(std::memory_order_acquire) < Barrier)
     return 0;
+  const std::string Path = logFile(Cfg.Dir), Tmp = Path + ".tmp";
+  int In = ::open(Path.c_str(), O_RDONLY);
+  if (In < 0)
+    return 0;
+  WalRecord First;
+  if (::pread(In, &First, sizeof(First), 0) != ssize_t(sizeof(First)) ||
+      First.Lsn > Barrier) {
+    ::close(In);
+    return 0; // Nothing at or below the barrier to drop.
+  }
+  // Write-temp → fsync → rename-over → reopen the append fd on the new
+  // inode. Any failure abandons the rotation (the old file and fd stay
+  // authoritative) — except a post-rename reopen failure, which would
+  // silently route appends to a dead inode and so seals the log instead.
+  int Out = ::open(Tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  if (Out < 0) {
+    ::close(In);
+    return 0;
+  }
+  // Bulk copy beside the drainer: it only appends whole records, so every
+  // record below the size seen now is final. Records at or below the
+  // barrier were fsynced before this call, so they all lie below it.
   uint64_t Removed = 0;
+  const uint64_t Bulk = fileSize(In) / sizeof(WalRecord) * sizeof(WalRecord);
+  bool Ok = copyAbove(In, 0, Bulk, Barrier, Out, Removed) &&
+            ::fdatasync(Out) == 0;
   bool Rotated = false;
-  for (uint32_t S = 0; S < Cfg.Shards; ++S) {
-    std::lock_guard<std::mutex> FLock(*FileLocks[S]);
-    const std::string Path = shardFile(S);
-    // Read the current shard file and keep only the beyond-barrier
-    // suffix. The file is record-aligned while the log is healthy (only
-    // the drainer writes it, whole records at a time).
-    std::vector<uint8_t> Keep;
-    uint64_t Dropped = 0;
-    {
-      FILE *F = std::fopen(Path.c_str(), "rb");
-      if (!F)
-        continue;
-      WalRecord Rec;
-      while (std::fread(&Rec, 1, sizeof(Rec), F) == sizeof(Rec)) {
-        if (Rec.Lsn > Barrier) {
-          const uint8_t *P = reinterpret_cast<const uint8_t *>(&Rec);
-          Keep.insert(Keep.end(), P, P + sizeof(Rec));
-        } else {
-          Dropped += sizeof(WalRecord);
-        }
+  if (Ok) {
+    // Under the file lock, copy what the drainer appended meanwhile and
+    // swap files. The log is record-aligned here unless a failed write
+    // sealed it, which the degraded re-check excludes.
+    std::lock_guard<std::mutex> FLock(FileLock);
+    Ok = !DegradedFlag.load(std::memory_order_acquire) &&
+         copyAbove(In, Bulk, fileSize(In), Barrier, Out, Removed) &&
+         ::fsync(Out) == 0;
+    ::close(Out);
+    Out = -1;
+    if (Ok && ::rename(Tmp.c_str(), Path.c_str()) == 0) {
+      int NFd = ::open(Path.c_str(), O_WRONLY | O_APPEND);
+      if (NFd < 0) {
+        enterDegraded("reopen", Path);
+        Removed = 0;
+      } else {
+        ::close(Fd);
+        Fd = NFd;
+        Rotated = true;
       }
-      std::fclose(F);
-    }
-    if (Dropped == 0)
-      continue;
-    // Write-temp → fsync → rename-over → reopen the append fd on the new
-    // inode. Any failure abandons this shard's rotation (the old file
-    // and fd stay authoritative) — except a post-rename reopen failure,
-    // which would silently route appends to a dead inode and so seals
-    // the log instead.
-    const std::string Tmp = Path + ".tmp";
-    int TFd = ::open(Tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (TFd < 0)
-      continue;
-    bool Ok = true;
-    size_t Off = 0;
-    while (Off < Keep.size()) {
-      ssize_t N = ::write(TFd, Keep.data() + Off, Keep.size() - Off);
-      if (N < 0) {
-        if (errno == EINTR)
-          continue;
-        Ok = false;
-        break;
-      }
-      Off += size_t(N);
-    }
-    if (Ok && ::fsync(TFd) < 0)
-      Ok = false;
-    ::close(TFd);
-    if (!Ok || ::rename(Tmp.c_str(), Path.c_str()) < 0) {
-      ::unlink(Tmp.c_str());
-      continue;
-    }
-    int NFd = ::open(Path.c_str(), O_WRONLY | O_APPEND);
-    if (NFd < 0) {
-      enterDegraded("reopen", Path);
-      return Removed;
-    }
-    ::close(Fds[S]);
-    Fds[S] = NFd;
-    Removed += Dropped;
-    Rotated = true;
-  }
-  if (Rotated) {
-    int DirFd = ::open(Cfg.Dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (DirFd >= 0) {
-      ::fsync(DirFd);
-      ::close(DirFd);
     }
   }
+  if (Out >= 0)
+    ::close(Out);
+  ::close(In);
+  if (!Rotated) {
+    ::unlink(Tmp.c_str());
+    return 0;
+  }
+  fsyncDir(Cfg.Dir);
   return Removed;
 }
 
@@ -499,78 +489,25 @@ uint64_t Wal::truncateBelow(uint64_t Barrier) {
 // Recovery.
 //===----------------------------------------------------------------------===
 
-namespace {
-
-/// One shard's validated scan: the longest file prefix of records that
-/// checksum correctly and are (Lsn, Index)-monotone. ValidBytes is where
-/// that prefix ends; everything after is torn or corrupt.
-struct ShardScan {
-  std::vector<WalRecord> Recs;
-  uint64_t ValidBytes = 0;
-  uint64_t FileBytes = 0;
-  bool Torn = false;
-  bool ReplayFaultStop = false;
-};
-
-void scanShard(const std::string &Path, ShardScan &Out) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return; // No file: empty log.
-  WalRecord Rec;
-  for (;;) {
-    size_t N = std::fread(&Rec, 1, sizeof(Rec), F);
-    Out.FileBytes += N;
-    if (N < sizeof(Rec)) {
-      Out.Torn |= N != 0; // Short tail: a record cut mid-write.
-      break;
-    }
-    if (Rec.Check != Rec.checksum()) {
-      Out.Torn = true; // Bit-flip or zero-fill: stop, never replay.
-      break;
-    }
-    if (!Out.Recs.empty()) {
-      const WalRecord &Prev = Out.Recs.back();
-      // Per-shard order is strict: LSN non-decreasing, and within one
-      // LSN (a multi-record transaction) the index strictly increases.
-      // A duplicated tail repeats (Lsn, Index) and fails here.
-      if (Rec.Lsn < Prev.Lsn ||
-          (Rec.Lsn == Prev.Lsn && Rec.index() <= Prev.index())) {
-        Out.Torn = true;
-        break;
-      }
-    }
-    // Injected recovery fault: abandon the rest of this shard's log as
-    // if the scan hit a torn record (kill mode turns this into a crash
-    // during recovery — double-crash testing).
-    if (faultPoint(FaultSite::RecoveryReplay)) {
-      faultSpin(FaultInjector::arg(FaultSite::RecoveryReplay));
-      Out.ReplayFaultStop = true;
-      break;
-    }
-    Out.Recs.push_back(Rec);
-    Out.ValidBytes += sizeof(Rec);
-  }
-  // Anything read past ValidBytes (including a trailing partial record
-  // fread consumed) does not count as file content to keep.
-  std::fseek(F, 0, SEEK_END);
-  Out.FileBytes = uint64_t(std::ftell(F));
-  std::fclose(F);
-}
-
-} // namespace
-
 RecoveryStats Wal::recover(Store &S) {
   assert(!Started && "recover must run before start()");
-  assert(S.shards() == Cfg.Shards && "wal/store shard mismatch");
+  std::error_code Ec;
+  for (const auto &E : std::filesystem::directory_iterator(Cfg.Dir, Ec)) {
+    const std::string Name = E.path().filename().string();
+    if (Name.rfind("shard-", 0) == 0 && E.path().extension() == ".wal")
+      throw WalLayoutError("wal directory '" + Cfg.Dir + "' holds '" + Name +
+                           "', a per-shard log of the older layout that "
+                           "this recovery cannot read");
+  }
   Stopwatch Timer;
   RecoveryStats Out;
   // Phase 0: load the newest *valid* checkpoint in the directory and
   // apply its image — the bounded-recovery baseline. A corrupt newest
   // checkpoint falls back to the older retained one (whose WAL suffix
   // the two-generation retention rule kept on disk), and to empty when
-  // none validates; the WAL merge below then simply replays from
-  // further back. Erased keys arrive as Tombstone entries and must
-  // override whatever baseline the caller prepopulated.
+  // none validates; the scan below then simply replays from further
+  // back. Erased keys arrive as Tombstone entries and must override
+  // whatever baseline the caller prepopulated.
   ckpt::CheckpointImage Img;
   ckpt::LoadResult Lr = ckpt::loadNewestValid(Cfg.Dir, Img);
   Out.CheckpointLsn = Img.Lsn;
@@ -587,184 +524,125 @@ RecoveryStats Wal::recover(Store &S) {
     Out.CheckpointEntries = Img.Entries.size();
     Out.CutLsn = Img.Lsn; // An empty WAL suffix still recovers to here.
   }
-  std::vector<ShardScan> Scans(Cfg.Shards);
-  // Phase 1: shard-parallel validated scans. One thread per shard would
-  // oversubscribe a small box for no gain; cap at hardware concurrency.
-  {
-    unsigned NumWorkers = std::max(1u, std::min<unsigned>(
-        std::thread::hardware_concurrency(), Cfg.Shards));
-    std::atomic<uint32_t> Next{0};
-    std::vector<std::thread> Workers;
-    for (unsigned W = 0; W < NumWorkers; ++W)
-      Workers.emplace_back([&] {
-        for (;;) {
-          uint32_t Shard = Next.fetch_add(1, std::memory_order_relaxed);
-          if (Shard >= Cfg.Shards)
-            return;
-          scanShard(shardFile(Shard), Scans[Shard]);
-        }
-      });
-    for (auto &W : Workers)
-      W.join();
-  }
-  for (const ShardScan &Sc : Scans) {
-    Out.RecordsScanned += Sc.Recs.size();
-    if (Sc.Torn)
-      ++Out.TornRecords;
-  }
-  // Phase 2: cross-shard merge by LSN. A transaction's group is complete
-  // iff its record count equals the span every record carries; the first
-  // incomplete group cuts the global replay — records above it are a
-  // suffix the crash made non-atomic, and replaying any of them would
-  // break prefix-of-commit-order semantics.
-  //
-  // Incompleteness alone is not enough, though: a torn shard tail (or a
-  // shard file that is simply behind, the drainer having died before
-  // reaching it) can swallow transactions that lived *wholly* in that
-  // shard. Their LSNs then vanish from the merge entirely — no
-  // incomplete group, just a hole — while later complete groups from
-  // other shards would happily replay past them, silently dropping a
-  // middle transaction. Logged LSNs are contiguous from 2 over the log's
-  // whole history (every logging commit takes the next publish ticket,
-  // start() folds the live ticket counter into BaseLsn so a restart
-  // continues at cut + 1, and truncation only ever drops suffixes), so a
-  // discontinuity IS a lost group: cut there. PrevLsn starts at 1 so the
-  // rule also covers the log's *first* commit — if LSN 2 itself was
-  // swallowed, nothing is a prefix and the replay cuts to empty.
-  uint64_t CutLsn = UINT64_MAX;
-  {
-    std::vector<size_t> Pos(Cfg.Shards, 0);
-    // The hole rule anchors at the checkpoint barrier when one loaded:
-    // records at or below it are already covered by the checkpoint image
-    // and may legitimately linger on disk (a crash between checkpoint
-    // publication and WAL rotation) — skip them, then demand contiguity
-    // from barrier + 1. Without a checkpoint the anchor stays at 1, the
-    // log's fixed origin.
-    uint64_t PrevLsn = std::max<uint64_t>(Img.Lsn, 1);
-    for (uint32_t Sd = 0; Sd < Cfg.Shards; ++Sd) {
-      auto &Recs = Scans[Sd].Recs;
-      size_t &P = Pos[Sd];
-      while (P < Recs.size() && Recs[P].Lsn <= Img.Lsn)
-        ++P;
-    }
+  // Phase 1: one validated sequential scan. Records at or below the
+  // checkpoint barrier are covered by the image and may legitimately
+  // linger (a crash between checkpoint publication and rotation): they
+  // are kept on disk but not replayed. Above it, the scan stops at
+  //  - the first torn or corrupt record: a short tail, a checksum
+  //    failure (bit-flip or zero-fill), or an (Lsn, Index) that does not
+  //    advance (a duplicated tail) — never replayed;
+  //  - an LSN hole: contiguity is demanded from barrier + 1 (from 2
+  //    without a checkpoint), so a swallowed commit, including the
+  //    first, cuts the replay before it instead of replaying past it;
+  //  - a group whose members are not index 0, 1, ... of one span.
+  // The replay cut is the last group completed before the stop; a
+  // final incomplete group (the crash landed mid-write) is dropped whole.
+  // Complete groups go into per-shard buckets for phase 2.
+  const uint64_t Anchor = std::max<uint64_t>(Img.Lsn, 1);
+  std::vector<std::vector<WalRecord>> Buckets(S.shards());
+  std::vector<WalRecord> Group; // The open transaction group.
+  uint64_t KeepBytes = 0, FileBytes = 0;
+  if (FILE *F = std::fopen(logFile(Cfg.Dir).c_str(), "rb")) {
+    WalRecord Rec, Prev{};
+    uint64_t Pos = 0;
     for (;;) {
-      uint64_t Lsn = UINT64_MAX;
-      for (uint32_t Sd = 0; Sd < Cfg.Shards; ++Sd)
-        if (Pos[Sd] < Scans[Sd].Recs.size())
-          Lsn = std::min(Lsn, Scans[Sd].Recs[Pos[Sd]].Lsn);
-      if (Lsn == UINT64_MAX)
-        break; // All records grouped.
-      if (Lsn != PrevLsn + 1) {
-        CutLsn = PrevLsn; // Hole: a wholly-lost group hides in the gap.
+      size_t N = std::fread(&Rec, 1, sizeof(Rec), F);
+      if (N < sizeof(Rec) || Rec.Check != Rec.checksum() ||
+          (Pos && (Rec.Lsn < Prev.Lsn || (Rec.Lsn == Prev.Lsn &&
+                                           Rec.index() <= Prev.index())))) {
+        Out.TornRecords += N != 0;
         break;
       }
-      PrevLsn = Lsn;
-      uint32_t Count = 0, Span = 0;
-      bool Coherent = true;
-      for (uint32_t Sd = 0; Sd < Cfg.Shards; ++Sd) {
-        auto &Recs = Scans[Sd].Recs;
-        size_t &P = Pos[Sd];
-        while (P < Recs.size() && Recs[P].Lsn == Lsn) {
-          if (Span == 0)
-            Span = Recs[P].span();
-          else if (Recs[P].span() != Span)
-            Coherent = false;
-          ++Count;
-          ++P;
-        }
-      }
-      if (!Coherent || Count != Span) {
-        CutLsn = Lsn - 1; // First incomplete group: cut before it.
+      // Injected recovery fault: abandon the rest of the log as if the
+      // scan hit a torn record (kill mode turns this into a crash during
+      // recovery — double-crash testing).
+      if (faultPoint(FaultSite::RecoveryReplay)) {
+        faultSpin(FaultInjector::arg(FaultSite::RecoveryReplay));
         break;
       }
+      ++Out.RecordsScanned;
+      Pos += sizeof(Rec);
+      Prev = Rec;
+      if (Rec.Lsn <= Anchor) {
+        KeepBytes = Pos;
+        continue;
+      }
+      if (Group.empty() && Rec.Lsn != std::max(Out.CutLsn, Anchor) + 1)
+        break; // Hole: a lost commit hides in the gap.
+      if (!Group.empty() && Rec.Lsn != Group[0].Lsn)
+        break; // The open group ended short.
+      if (Rec.index() != Group.size() ||
+          (!Group.empty() && Rec.span() != Group[0].span()))
+        break; // Incoherent group.
+      Group.push_back(Rec);
+      if (Group.size() < Rec.span())
+        continue;
+      for (const WalRecord &G : Group)
+        Buckets[S.shardOf(G.Key)].push_back(G);
+      Out.RecordsReplayed += Group.size();
       ++Out.TxnsReplayed;
-      Out.CutLsn = Lsn;
+      Out.CutLsn = Rec.Lsn;
+      KeepBytes = Pos;
+      Group.clear();
     }
+    std::fseek(F, 0, SEEK_END);
+    FileBytes = uint64_t(std::ftell(F));
+    std::fclose(F);
   }
-  if (CutLsn != UINT64_MAX)
-    Out.CutLsn = std::min(Out.CutLsn, CutLsn);
-  // Phase 3: shard-parallel replay of the prefix. Records of one shard
-  // are already in commit order; cross-shard interleaving within the
-  // prefix is free (transactions' shard-disjoint records commute, and
-  // same-key records always share a shard).
+  // Phase 2: shard-parallel replay. Records of one shard are in commit
+  // order; cross-shard interleaving within the prefix is free
+  // (transactions' shard-disjoint records commute, and same-key records
+  // always share a shard).
   {
-    std::atomic<uint64_t> Replayed{0}, Failures{0};
+    std::atomic<uint64_t> Failures{0};
     std::atomic<uint32_t> Next{0};
     unsigned NumWorkers = std::max(1u, std::min<unsigned>(
-        std::thread::hardware_concurrency(), Cfg.Shards));
+        std::thread::hardware_concurrency(), S.shards()));
     std::vector<std::thread> Workers;
-    const uint64_t Cut = Out.CutLsn;
     for (unsigned W = 0; W < NumWorkers; ++W)
       Workers.emplace_back([&] {
         for (;;) {
           uint32_t Shard = Next.fetch_add(1, std::memory_order_relaxed);
-          if (Shard >= Cfg.Shards)
+          if (Shard >= Buckets.size())
             return;
-          for (const WalRecord &Rec : Scans[Shard].Recs) {
-            if (Rec.Lsn <= Img.Lsn)
-              continue; // Covered by the checkpoint image already.
-            if (Rec.Lsn > Cut)
-              break;
-            bool Ok = Rec.op() == WalOp::Put
-                          ? S.insert(Rec.Key, Rec.Val)
-                          : S.erase(Rec.Key);
+          for (const WalRecord &Rec : Buckets[Shard]) {
+            bool Ok = Rec.op() == WalOp::Put ? S.insert(Rec.Key, Rec.Val)
+                                             : S.erase(Rec.Key);
             if (!Ok)
               Failures.fetch_add(1, std::memory_order_relaxed);
-            Replayed.fetch_add(1, std::memory_order_relaxed);
           }
         }
       });
     for (auto &W : Workers)
       W.join();
-    Out.RecordsReplayed = Replayed.load(std::memory_order_relaxed);
-    Out.ApplyFailures = Failures.load(std::memory_order_relaxed);
+    Out.ApplyFailures += Failures.load(std::memory_order_relaxed);
   }
-  // Phase 4: truncate every shard file at its replayed prefix — torn
-  // tails and beyond-cut suffixes alike — so the dropped records cannot
-  // resurface in a later recovery (they would re-cut the log there and
-  // orphan everything appended afterwards). The repair must be durable
-  // before any new append can be acked: resize_file alone only reaches
-  // the page cache, and after power loss a resurrected stale suffix
-  // would collide with the reused LSNs of the next generation and make
-  // an acked new-generation group look torn. So fsync each repaired
-  // file, and the directory, before returning.
-  bool Repaired = false;
-  for (uint32_t Sd = 0; Sd < Cfg.Shards; ++Sd) {
-    const ShardScan &Sc = Scans[Sd];
-    uint64_t Keep = 0;
-    for (const WalRecord &Rec : Sc.Recs) {
-      if (Rec.Lsn > Out.CutLsn)
-        break;
-      Keep += sizeof(WalRecord);
+  // Phase 3: truncate the file at its replayed prefix — a torn tail and a
+  // beyond-cut suffix alike — so the dropped records cannot resurface in
+  // a later recovery (they would re-cut the log there and orphan
+  // everything appended afterwards). The repair must be durable before
+  // any new append can be acked: resize_file alone only reaches the page
+  // cache, and after power loss a resurrected stale suffix would collide
+  // with the reused LSNs of the next generation and make an acked
+  // new-generation group look torn. So fsync the file, and the
+  // directory, before returning.
+  if (KeepBytes < FileBytes) {
+    Out.TruncatedBytes = FileBytes - KeepBytes;
+    std::filesystem::resize_file(logFile(Cfg.Dir), KeepBytes, Ec);
+    int RFd = ::open(logFile(Cfg.Dir).c_str(), O_WRONLY);
+    if (RFd >= 0) {
+      if (::fsync(RFd) < 0)
+        ioFatal("fsync", logFile(Cfg.Dir));
+      ::close(RFd);
     }
-    if (Keep < Sc.FileBytes) {
-      Out.TruncatedBytes += Sc.FileBytes - Keep;
-      std::error_code Ec;
-      std::filesystem::resize_file(shardFile(Sd), Keep, Ec);
-      // A missing file truncates to nothing by definition (and cannot
-      // be opened below; nothing to make durable either way).
-      int Fd = ::open(shardFile(Sd).c_str(), O_WRONLY);
-      if (Fd >= 0) {
-        if (::fsync(Fd) < 0)
-          ioFatal("fsync", shardFile(Sd));
-        ::close(Fd);
-        Repaired = true;
-      }
-    }
-  }
-  if (Repaired) {
-    int DirFd = ::open(Cfg.Dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (DirFd >= 0) {
-      ::fsync(DirFd);
-      ::close(DirFd);
-    }
+    fsyncDir(Cfg.Dir);
   }
   // Record the durable history's high-water mark; start() folds the live
   // publish-ticket counter into BaseLsn so the next generation's first
   // record lands exactly at cut + 1 — even though the replay transactions
   // above consumed tickets themselves under Config::SnapshotEnabled. An
   // empty or fully-cut log continues at LSN 2, the fixed origin the
-  // merge's hole rule anchors on.
+  // contiguity check anchors on.
   LastLsn = std::max<uint64_t>(Out.CutLsn, 1);
   // Reclamation identities must hold on the rebuilt store: every record
   // parked by a replayed erase is accounted for, nothing leaked.

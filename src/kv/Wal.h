@@ -1,28 +1,34 @@
-//===- kv/Wal.h - SATM-KV durability plane: per-shard redo log -*- C++ -*-===//
+//===- kv/Wal.h - SATM-KV durability plane: one redo log ------*- C++ -*-===//
 //
 // Part of the SATM project, reproducing Shpeisman et al., PLDI 2007.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The SATM-KV durability plane: a per-shard append-only redo log with
-/// group commit, batched fsync, and shard-parallel crash recovery
-/// (ROADMAP item 1; DESIGN.md §12).
+/// The SATM-KV durability plane: one append-only redo log with group
+/// commit and crash recovery (DESIGN.md §12). One ring, one drain thread
+/// and one file, whatever the store's shard count.
 ///
 /// Ordering. Committing transactions publish fixed-format redo records
-/// into per-shard in-memory rings *inside the snapshot publish window* —
-/// between Quiescence::waitPublishTurn and completePublish — where the
-/// committer is globally unique in the publish order. Log order therefore
-/// equals the snapshot plane's commit order by construction: no log-side
-/// CAS, no sequencer, no multi-producer races. The hand-off to the drain
-/// thread is privatization-shaped (the ring slot passes from the
-/// transactional world to an I/O thread); the release store that bumps
-/// the ring head is the only barrier it needs, because the drainer never
-/// touches STM state. The publish window's non-blocking invariant
-/// (Quiesce.h) is preserved in the sense that matters for deadlock
-/// freedom: an append can wait only on the drain thread (ring full), and
-/// the drain thread never takes a publish ticket or any STM resource, so
-/// no wait cycle through the publish order can form.
+/// into the in-memory ring *inside the snapshot publish window* — between
+/// Quiescence::waitPublishTurn and completePublish — where the committer
+/// is globally unique in the publish order. Ring order, and so file
+/// order, therefore equals the snapshot plane's commit order by
+/// construction: no log-side CAS, no sequencer, no multi-producer races.
+/// The hand-off to the drain thread is privatization-shaped (the ring
+/// slot passes from the transactional world to an I/O thread); the
+/// release store that bumps the ring head is the only barrier it needs,
+/// because the drainer never touches STM state. The publish window's
+/// non-blocking invariant (Quiesce.h) is preserved in the sense that
+/// matters for deadlock freedom: an append can wait only on the drain
+/// thread (ring full), and the drain thread never takes a publish ticket
+/// or any STM resource, so no wait cycle through the publish order can
+/// form.
+///
+/// Group commit. Each drain cycle writes everything the ring holds with
+/// one writev straight from the ring (at most two contiguous spans), then
+/// issues one fsync, and the LSN it read before draining becomes the
+/// durable cut.
 ///
 /// Record format: 40 bytes, five host-endian words —
 ///   [0] Lsn       log sequence number = BaseLsn + publish ticket; all
@@ -33,36 +39,32 @@
 ///   [3] Val       (ignored for Erase)
 ///   [4] Check     seeded SplitMix-style mix of words 0..3
 ///
-/// Recovery replays the *maximal durable prefix of the commit order*: a
-/// per-shard scan validates checksums and (Lsn, Index) monotonicity and
-/// truncates the first torn or corrupt record (never replaying it); a
-/// cross-shard merge then cuts the global replay at the first LSN whose
-/// transaction group is incomplete (records ≠ span — a crash between
-/// per-shard file writes) *or* absent entirely (an LSN hole: a torn
-/// shard file can swallow whole transactions that logged only there, and
-/// logged LSNs are contiguous from 2 by construction — every logging
-/// commit takes the next publish ticket, and start() derives BaseLsn
-/// from the live ticket counter so the first logged record continues the
-/// on-disk history at exactly its cut + 1, no matter how many tickets
-/// recovery replay or pre-attach traffic consumed). The merge therefore
-/// also treats a missing *first* LSN (always 2) as a hole. The
-/// beyond-cut suffix is truncated from every shard file — and the
-/// repaired files and directory fsynced — so a later run cannot
-/// resurrect it even across power loss.
+/// Recovery replays the *maximal durable prefix of the commit order* in
+/// one sequential scan. It stops at the first record that fails its
+/// checksum or does not advance (Lsn, Index), never replaying it, and
+/// cuts the replay at the last complete transaction group before that
+/// point or before the first LSN hole. Logged LSNs are contiguous from 2
+/// by construction: every logging commit takes the next publish ticket,
+/// and start() derives BaseLsn from the live ticket counter, so the first
+/// logged record continues the on-disk history at exactly its cut + 1,
+/// no matter how many tickets recovery replay or pre-attach traffic
+/// consumed. A skipped LSN, including a missing first LSN (always 2), is
+/// therefore a lost commit. The beyond-cut suffix is truncated and the
+/// file and directory fsynced, so a later run cannot resurrect it even
+/// across power loss.
 ///
 /// Checkpoints (kv/Checkpoint.h; DESIGN.md §14) bound both halves of
 /// that story. recover() first loads the newest *valid* checkpoint in
 /// the directory (falling back to the previous one, then to empty, on
 /// corruption) and replays only WAL records with LSN above the
 /// checkpoint's barrier; truncateBelow() lets the checkpointer rotate
-/// the already-covered log prefix out of the shard files. The merge's
-/// hole rule re-anchors at the checkpoint LSN: contiguity is demanded
-/// from barrier + 1, not from 2.
+/// the already-covered log prefix out of the file. Contiguity is then
+/// demanded from barrier + 1, not from 2.
 ///
-/// Degraded mode. A failed shard write or fsync (real ENOSPC/EIO, or
-/// the injected log_enospc site) no longer aborts the process: the WAL
-/// seals — DurableLsn freezes at the last honestly-fsynced cut, later
-/// ring contents are consumed and discarded (counted in
+/// Degraded mode. A failed write or fsync (real ENOSPC/EIO, or the
+/// injected log_enospc site) does not abort the process: the WAL seals —
+/// DurableLsn freezes at the last honestly-fsynced cut, later ring
+/// contents are consumed and discarded (counted in
 /// WalStats::DroppedRecords), and every waitDurable call for an LSN
 /// beyond the frozen cut returns DurableWait::DurabilityLost instead of
 /// blocking. Reads and async traffic keep flowing; only the sync-ack
@@ -81,9 +83,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace satm {
 namespace kv {
@@ -133,7 +135,7 @@ static_assert(sizeof(WalRecord) == 40, "on-disk record is 5 words");
 struct WalStats {
   uint64_t RecordsAppended = 0; ///< Ring appends (commit side).
   uint64_t RingStalls = 0;      ///< Appends that waited on a full ring.
-  uint64_t FsyncBatches = 0;    ///< Drain cycles that reached fsync.
+  uint64_t FsyncBatches = 0;    ///< fsync calls (one per cycle that wrote).
   uint64_t RecordsWritten = 0;  ///< Records handed to write(2).
   uint64_t BytesWritten = 0;
   uint64_t DroppedRecords = 0;  ///< Records discarded while degraded.
@@ -149,10 +151,10 @@ enum class DurableWait : uint8_t {
 
 /// Outcome of Wal::recover.
 struct RecoveryStats {
-  uint64_t RecordsScanned = 0;  ///< Valid records read across all shards.
+  uint64_t RecordsScanned = 0;  ///< Valid records read up to the cut.
   uint64_t RecordsReplayed = 0; ///< Records applied (<= scanned: group cut).
   uint64_t TxnsReplayed = 0;    ///< Complete LSN groups applied.
-  uint64_t TornRecords = 0;     ///< Shard-local torn/corrupt tails truncated.
+  uint64_t TornRecords = 0;     ///< Torn/corrupt tails truncated (0 or 1).
   uint64_t TruncatedBytes = 0;  ///< Bytes removed from files (torn + cut).
   uint64_t ApplyFailures = 0;   ///< Replay ops the store rejected (0 = clean).
   uint64_t CutLsn = 0;          ///< Highest LSN recovered (= new base).
@@ -160,20 +162,29 @@ struct RecoveryStats {
   uint64_t CheckpointEntries = 0;   ///< (key,value) pairs applied from it.
   uint64_t CheckpointsDiscarded = 0; ///< Newer-but-invalid checkpoints skipped.
   bool ReclaimIdentityOk = true; ///< reclaimStats() identities held after.
-  double Millis = 0;            ///< Wall time of scan + merge + replay.
+  double Millis = 0;            ///< Wall time of scan + replay.
 };
 
-/// Per-shard write-ahead redo log. Lifecycle: construct over a directory,
-/// optionally recover() into a Store, start() the drain threads, attach
-/// to the Store (Store::attachWal) so committing transactions register
+/// Thrown by Wal::recover for a directory that still holds the per-shard
+/// log files (shard-NNNN.wal) of the older layout, which it cannot read.
+/// Replaying around them would silently lose their history.
+struct WalLayoutError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Write-ahead redo log. Lifecycle: construct over a directory,
+/// optionally recover() into a Store, start() the drain thread, attach to
+/// the Store (Store::attachWal) so committing transactions register
 /// publish-window appends, stop() before teardown.
 class Wal {
 public:
   struct Config {
-    std::string Dir;            ///< Log directory (created if absent).
-    uint32_t Shards = 16;       ///< Must match the store's shard count.
-    uint32_t DrainThreads = 1;  ///< I/O threads; shard S drains on S % N.
-    uint32_t RingSlots = 4096;  ///< Per-shard ring capacity (power of two).
+    std::string Dir; ///< Log directory (created if absent).
+    /// Ignored: the log has one ring and one file whatever the store's
+    /// shard count. Kept only because perfbench/Wire.cpp still assigns
+    /// it; deleted with ServerConfig::Workers (ROADMAP item 3).
+    uint32_t Shards = 16;
+    uint32_t RingSlots = 1u << 16;   ///< Ring capacity (power of two).
     uint32_t FlushIntervalUs = 1000; ///< Group-commit window (idle bound).
   };
 
@@ -183,33 +194,35 @@ public:
   Wal(const Wal &) = delete;
   Wal &operator=(const Wal &) = delete;
 
-  /// Scans the shard logs, truncates torn tails and incomplete-group
-  /// suffixes, and replays the maximal complete prefix of the commit
-  /// order into \p S shard-parallel (plain transactional insert/erase —
-  /// call before attaching the Wal, so replay is not re-logged). Verifies
-  /// the Store::reclaimStats identities afterward. Must run before
-  /// start(); records the cut so start() re-bases post-recovery appends
-  /// at exactly cut + 1.
+  /// Scans the log, truncates a torn tail and any incomplete-group or
+  /// beyond-hole suffix, and replays the maximal complete prefix of the
+  /// commit order into \p S, records bucketed by Store::shardOf and the
+  /// shards replayed in parallel (plain transactional insert/erase — call
+  /// before attaching the Wal, so replay is not re-logged). Verifies the
+  /// Store::reclaimStats identities afterward. Must run before start();
+  /// records the cut so start() re-bases post-recovery appends at exactly
+  /// cut + 1. Throws WalLayoutError if the directory holds old-layout
+  /// shard-*.wal files.
   RecoveryStats recover(Store &S);
 
-  /// Spawns the drain threads. append() may be called only between
+  /// Spawns the drain thread. append() may be called only between
   /// start() and stop().
   void start();
 
-  /// Drains every ring, flushes, and joins the drain threads. Idempotent.
+  /// Drains the ring, flushes, and joins the drain thread. Idempotent.
   void stop();
 
   /// Commit-side append, called inside the publish window (unique
   /// committer). The transaction's durable LSN is BaseLsn + Ticket; it
   /// becomes visible to the drainer only once the transaction's last
-  /// record (Index == Count-1) is in its ring, so a group is never
+  /// record (Index == Count-1) is in the ring, so a group is never
   /// fsync-acked half-appended. Spins (bounded by drainer progress) when
-  /// the shard ring is full.
-  void append(uint32_t Shard, WalOp Op, Word Key, Word Val, uint64_t Ticket,
-              uint32_t Index, uint32_t Count);
+  /// the ring is full.
+  void append(WalOp Op, Word Key, Word Val, uint64_t Ticket, uint32_t Index,
+              uint32_t Count);
 
-  /// Txn::PublishEntry trampoline: Ctx is the Wal, A packs
-  /// (op << 32 | shard), B is the key, C the value.
+  /// Txn::PublishEntry trampoline: Ctx is the Wal, A is the op, B the
+  /// key, C the value.
   static void publishHook(void *Ctx, uint64_t Ticket, uint32_t Index,
                           uint32_t Count, Word A, Word B, Word C);
 
@@ -244,15 +257,17 @@ public:
   /// commits with ticket <= E, i.e. the records with LSN <= lsnOfTicket(E).
   uint64_t lsnOfTicket(uint64_t Ticket) const { return BaseLsn + Ticket; }
 
-  /// Log compaction: rewrites every shard file keeping only records with
-  /// LSN > \p Barrier, fsyncs the replacements, and re-points the drain
-  /// fds. Callable while the log is live (the checkpointer's thread);
-  /// serialized against the drainers per shard. Requires the barrier to
-  /// be durable already — if DurableLsn < Barrier (e.g. degraded), the
+  /// Log compaction: rewrites the file keeping only records with LSN >
+  /// \p Barrier (a suffix: the file is LSN-ordered), streamed in bounded
+  /// chunks, fsyncs the replacement and re-points the drain fd. Callable
+  /// while the log is live (the checkpointer's thread); the bulk of the
+  /// copy runs beside the drainer, and only the records it appended
+  /// meanwhile are copied under the file lock. Requires the barrier to be
+  /// durable already — if DurableLsn < Barrier (e.g. degraded), the
   /// rotation is skipped and 0 is returned. Returns bytes removed.
   uint64_t truncateBelow(uint64_t Barrier);
 
-  /// Log directory (checkpoint files live alongside the shard logs).
+  /// Log directory (checkpoint files live alongside the log).
   const std::string &dir() const { return Cfg.Dir; }
 
   /// The LSN of the last append *this thread* performed (0 if none) —
@@ -262,35 +277,30 @@ public:
 
   WalStats stats() const;
 
-  /// Shard log file path (tests and tooling).
-  std::string shardFile(uint32_t Shard) const;
+  /// The log file of log directory \p Dir (tests and tooling).
+  static std::string logFile(const std::string &Dir) {
+    return Dir + "/redo.wal";
+  }
 
 private:
-  struct alignas(64) Ring {
-    std::unique_ptr<WalRecord[]> Buf;
-    std::atomic<uint64_t> Head{0}; ///< Producer cursor (publish window).
-    std::atomic<uint64_t> Tail{0}; ///< Consumer cursor (drain thread).
-  };
-
-  void drainLoop(unsigned ThreadIndex);
-  /// One drain cycle: snapshot the published LSN, empty this thread's
-  /// rings into their files, fsync exactly the files written this cycle,
-  /// advance durability. Scratch/DirtyShards are loop-owned reusable
-  /// buffers.
-  void drainCycle(unsigned ThreadIndex, std::vector<uint8_t> &Scratch,
-                  std::vector<uint32_t> &DirtyShards);
+  void drainLoop();
+  /// One drain cycle: snapshot the published LSN, write the ring's
+  /// contents with one writev, fsync once, advance durability.
+  void drainCycle();
   /// Seals the log after an I/O failure (degraded mode) and wakes every
   /// durability waiter so they observe DurabilityLost. Reads errno.
   void enterDegraded(const char *What, const std::string &Path);
 
   Config Cfg;
-  std::vector<Ring> Rings;
-  std::vector<int> Fds; ///< One O_APPEND fd per shard (drain side only).
-  /// Per-shard file lock: serializes a drainer's write+fsync against
-  /// truncateBelow's rewrite-and-swap of the same shard file. Uncontended
-  /// except during a rotation. unique_ptr because mutexes cannot live in
-  /// a resizable vector directly.
-  std::vector<std::unique_ptr<std::mutex>> FileLocks;
+  std::unique_ptr<WalRecord[]> Ring;
+  /// Producer cursor (publish window) and consumer cursor (drain thread),
+  /// on separate cache lines.
+  alignas(64) std::atomic<uint64_t> Head{0};
+  alignas(64) std::atomic<uint64_t> Tail{0};
+  int Fd = -1; ///< O_APPEND log fd (drain side and truncateBelow only).
+  /// Serializes the drainer's write+fsync against truncateBelow's final
+  /// copy and fd swap. Uncontended except during a rotation.
+  std::mutex FileLock;
 
   /// Highest LSN of the durable history this log continues: 1 for a
   /// fresh/empty log (so the first record lands at LSN 2), the recovery
@@ -310,16 +320,15 @@ private:
   /// Highest LSN whose transaction is fully ring-published. Monotone:
   /// stores happen only inside the serialized publish window.
   std::atomic<uint64_t> PublishedLsn{0};
-  /// Highest LSN known fsynced (min over drain threads' cuts).
+  /// Highest LSN known fsynced.
   std::atomic<uint64_t> DurableLsn{0};
 
-  std::mutex WaitMutex;                  ///< Guards ThreadCut + both CVs.
-  std::condition_variable DrainCv;       ///< Wakes drainers early.
-  std::condition_variable DurableCv;     ///< Wakes waitDurable callers.
-  std::vector<uint64_t> ThreadCut;       ///< Per-drainer fsynced cut.
+  std::mutex WaitMutex;              ///< Guards DurableLsn stores + both CVs.
+  std::condition_variable DrainCv;   ///< Wakes the drainer early.
+  std::condition_variable DurableCv; ///< Wakes waitDurable callers.
   uint32_t SyncWaitersPending = 0;
 
-  std::vector<std::thread> Drainers;
+  std::thread Drainer;
   std::atomic<bool> Stopping{false};
   bool Started = false;
 

@@ -12,6 +12,8 @@
 #include <functional>
 #include <optional>
 
+#include <pthread.h>
+
 using namespace satm;
 using namespace satm::tc;
 using namespace satm::tc::ir;
@@ -21,22 +23,40 @@ using stm::Word;
 namespace {
 
 /// Thread-local interpreter context: transactional print buffering, the
-/// step budget and the nesting depth are per executing thread.
+/// step budget and the nesting bound are per executing thread.
 struct ThreadCtx {
   std::string PendingOut; ///< print output buffered until commit.
   unsigned AtomicDepth = 0;
-  /// Calls plus atomic and open regions in progress: each one recurses on
-  /// the host stack.
-  unsigned NestDepth = 0;
+  /// Lowest host stack address at which a call or region may still open
+  /// (0 until the thread's first one computes it).
+  uintptr_t StackFloor = 0;
   uint64_t Steps = 0;
 };
 
-/// NestDepth allowed per thread. An unbounded TranC recursion would
-/// otherwise overflow the host stack and kill the process; past this depth
-/// the call or region raises a RuntimeError instead. Sized to fit an 8 MiB
-/// thread stack under ThreadSanitizer, whose frames are the largest of the
-/// supported builds (about 0.85 KiB per level).
-constexpr unsigned MaxNestDepth = 6000;
+/// Host stack a call or region must leave free below its own frame. Calls
+/// and atomic and open regions each recurse on the host stack, so an
+/// unbounded TranC recursion would otherwise overflow it and kill the
+/// process; the reserve covers the frames of the next level up to its own
+/// check, and the RuntimeError raised instead, in every supported build
+/// (sanitizer frames are several times the plain ones).
+constexpr uintptr_t StackReserve = 512 << 10;
+
+/// The calling thread's StackFloor: the low end of its stack plus the
+/// reserve. Without stack bounds, assumes 2 MiB below the current frame,
+/// the smallest default thread stack of the supported hosts.
+uintptr_t stackFloor() {
+  uintptr_t Here = uintptr_t(__builtin_frame_address(0));
+  uintptr_t Lo = Here > (2u << 20) ? Here - (2u << 20) : 0;
+  pthread_attr_t A;
+  if (pthread_getattr_np(pthread_self(), &A) == 0) {
+    void *Addr = nullptr;
+    size_t Size = 0;
+    if (pthread_attr_getstack(&A, &Addr, &Size) == 0)
+      Lo = uintptr_t(Addr);
+    pthread_attr_destroy(&A);
+  }
+  return Lo + StackReserve;
+}
 
 ThreadCtx &threadCtx() {
   thread_local ThreadCtx C;
@@ -144,22 +164,15 @@ namespace {
                              std::to_string(Where.Col) + ": " + Msg};
 }
 
-/// Holds one level of NestDepth for its scope.
-class NestGuard {
-public:
-  NestGuard(ThreadCtx &C, Loc Where) : C(C) {
-    if (C.NestDepth >= MaxNestDepth)
-      fail(Where, "nesting depth limit (" + std::to_string(MaxNestDepth) +
-                      ") exceeded by calls and atomic regions");
-    ++C.NestDepth;
-  }
-  ~NestGuard() { --C.NestDepth; }
-  NestGuard(const NestGuard &) = delete;
-  NestGuard &operator=(const NestGuard &) = delete;
-
-private:
-  ThreadCtx &C;
-};
+/// Raises a RuntimeError instead of opening one more call or region when
+/// the thread's host stack is down to its reserve.
+void checkNesting(ThreadCtx &C, Loc Where) {
+  if (!C.StackFloor)
+    C.StackFloor = stackFloor();
+  if (uintptr_t(__builtin_frame_address(0)) < C.StackFloor)
+    fail(Where, "nesting depth limit exceeded: calls and atomic regions "
+                "filled the thread's host stack");
+}
 
 } // namespace
 
@@ -392,10 +405,8 @@ void Interp::execFromEntry(uint32_t FuncId, std::vector<Word> &Regs,
         for (RegId A : I.Args)
           Args.push_back(Regs[A]);
         Word R;
-        {
-          NestGuard Nest(TC, I.Where);
-          R = execFunction(I.Index, std::move(Args));
-        }
+        checkNesting(TC, I.Where);
+        R = execFunction(I.Index, std::move(Args));
         if (I.Imm)
           Regs[I.Dst] = R;
         break;
@@ -450,7 +461,7 @@ void Interp::execFromEntry(uint32_t FuncId, std::vector<Word> &Regs,
         Pos Body{P.B, P.I + 1};
         BlockId EndBlock = I.Index;
         std::vector<Word> Snapshot = Regs;
-        NestGuard Nest(TC, I.Where);
+        checkNesting(TC, I.Where);
         ++TC.AtomicDepth;
         bool Outermost = TC.AtomicDepth == 1;
         try {
@@ -483,7 +494,7 @@ void Interp::execFromEntry(uint32_t FuncId, std::vector<Word> &Regs,
         // never re-executes by itself; a conflict inside it unwinds (and
         // restarts) the whole enclosing transaction, whose own snapshot
         // restores the frame.
-        NestGuard Nest(TC, I.Where);
+        checkNesting(TC, I.Where);
         stm::Txn::runOpenNested([&] {
           bool Returned = Run(Body);
           assert(!Returned && "return escaped an open region");

@@ -104,7 +104,6 @@ Built buildDir(const std::string &Dir, int Checkpoints) {
 
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S->shards();
   Wal W(WC);
   W.start();
   S->attachWal(&W);
@@ -166,7 +165,6 @@ Recovered recoverDir(const std::string &Dir) {
   prepopulate(*S);
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = NumShards;
   Wal W(WC);
   Recovered R;
   R.Rec = W.recover(*S);
@@ -297,7 +295,6 @@ TEST_F(CheckpointRecoveryTest, CheckpointNewerThanEveryWalRecord) {
   prepopulate(*S);
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S->shards();
   std::map<Word, Word> AtCkpt;
   {
     Wal W(WC);
@@ -314,12 +311,7 @@ TEST_F(CheckpointRecoveryTest, CheckpointNewerThanEveryWalRecord) {
     S->attachWal(nullptr);
     W.stop();
   }
-  for (uint32_t Shard = 0; Shard < NumShards; ++Shard) {
-    char Name[32];
-    std::snprintf(Name, sizeof(Name), "/shard-%04u.wal", Shard);
-    std::error_code Ec;
-    fs::resize_file(Dir + Name, 0, Ec); // Empty, not missing.
-  }
+  fs::resize_file(Wal::logFile(Dir), 0); // Empty, not missing.
 
   Recovered R = recoverDir(Dir);
   EXPECT_EQ(R.State, AtCkpt);

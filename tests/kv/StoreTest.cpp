@@ -180,6 +180,45 @@ TEST(KvStore, ReadModifyWriteMutatesInPlace) {
   EXPECT_EQ(Out, 13u);
 }
 
+TEST(KvStore, ReadModifyWriteBeyondTheInlineTableSpills) {
+  // Up to 64 keys keep their values and records on the stack; wider calls
+  // spill to the heap. Both sides of the boundary see every key's value
+  // in call order and write back all or nothing.
+  rt::Heap H;
+  StoreConfig C;
+  C.Shards = 4;
+  C.CapacityPerShard = 128;
+  Store S(H, C);
+  std::vector<Word> Keys;
+  for (Word K = 1; K <= 130; ++K) {
+    ASSERT_TRUE(S.insert(K, K * 10));
+    Keys.push_back(K);
+  }
+  for (size_t N : {size_t(64), size_t(65), size_t(130)}) {
+    ASSERT_TRUE(S.readModifyWrite(Keys.data(), N, [&](Word *V, size_t Got) {
+      ASSERT_EQ(Got, N);
+      for (size_t I = 0; I < Got; ++I)
+        V[I] += 1;
+    })) << N;
+  }
+  for (Word K = 1; K <= 130; ++K) {
+    Word Out = 0;
+    ASSERT_TRUE(S.get(K, Out));
+    EXPECT_EQ(Out, K * 10 + (K <= 64 ? 3 : K == 65 ? 2 : 1)) << K;
+  }
+  // A missing 65th key: the spilled call applies nothing.
+  std::vector<Word> Bad(Keys.begin(), Keys.begin() + 64);
+  Bad.push_back(999);
+  EXPECT_FALSE(S.readModifyWrite(Bad.data(), Bad.size(),
+                                 [](Word *V, size_t N) {
+                                   for (size_t I = 0; I < N; ++I)
+                                     V[I] = 0;
+                                 }));
+  Word Out = 0;
+  ASSERT_TRUE(S.get(1, Out));
+  EXPECT_EQ(Out, 13u);
+}
+
 TEST(KvStore, ShardFullReportsFailure) {
   rt::Heap H;
   StoreConfig C;

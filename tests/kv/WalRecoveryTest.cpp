@@ -6,9 +6,10 @@
 //
 // The corruption matrix for Wal::recover (DESIGN.md §12): a deterministic
 // single-threaded workload builds a pristine log, each test damages a copy
-// of it (torn tail, bit flip, duplicated record, missing group member,
-// empty log) and recovery must land on an exact *prefix of the commit
-// order* — never a mix-and-match. The golden-state method makes that
+// of it (torn tail, bit flip, duplicated record, a cut inside the final
+// group, a lost mid-log commit, a lost first commit, empty log) and
+// recovery must land on an exact *prefix of the commit order* — never a
+// mix-and-match. The golden-state method makes that
 // precise: recovering the damaged log must produce bit-identical store
 // state to recovering an undamaged copy manually truncated at the damaged
 // recovery's cut LSN. Process-kill crashes (real torn tails under fault
@@ -81,7 +82,7 @@ std::map<Word, Word> dumpState(const Store &S) {
 /// Runs the deterministic logged workload and returns the live end state.
 /// Covers every record shape recovery must handle: single-record inserts
 /// and overwrites, Erase records, multi-record groups (rmwAdd), and a
-/// final wide group guaranteed to span several shard files.
+/// final 8-record group.
 std::map<Word, Word> buildLog(const std::string &Dir) {
   rt::Heap H;
   std::unique_ptr<Store> S;
@@ -90,7 +91,6 @@ std::map<Word, Word> buildLog(const std::string &Dir) {
 
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S->shards();
   Wal W(WC);
   W.start();
   S->attachWal(&W);
@@ -127,7 +127,6 @@ Recovered recoverDir(const std::string &Dir) {
   prepopulate(*S);
   Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S->shards();
   Wal W(WC);
   Recovered R;
   R.Rec = W.recover(*S);
@@ -140,41 +139,28 @@ void copyDir(const std::string &From, const std::string &To) {
   fs::copy(From, To, fs::copy_options::recursive);
 }
 
-std::vector<WalRecord> readShard(const std::string &Path) {
+std::vector<WalRecord> readLog(const std::string &Dir) {
   std::vector<WalRecord> Out;
-  std::ifstream In(Path, std::ios::binary);
+  std::ifstream In(Wal::logFile(Dir), std::ios::binary);
   WalRecord R;
   while (In.read(reinterpret_cast<char *>(&R), sizeof(R)))
     Out.push_back(R);
   return Out;
 }
 
-/// Paths of the shard files under \p Dir, largest first.
-std::vector<std::string> shardFilesBySize(const std::string &Dir) {
-  std::vector<std::string> Files;
-  for (uint32_t Sd = 0; Sd < NumShards; ++Sd) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "/shard-%04u.wal", Sd);
-    std::string P = Dir + Buf;
-    if (fs::exists(P))
-      Files.push_back(P);
-  }
-  std::sort(Files.begin(), Files.end(), [](const auto &A, const auto &B) {
-    return fs::file_size(A) > fs::file_size(B);
-  });
-  return Files;
+void writeLog(const std::string &Dir, const std::vector<WalRecord> &Recs) {
+  std::ofstream Out(Wal::logFile(Dir), std::ios::binary | std::ios::trunc);
+  for (const WalRecord &R : Recs)
+    Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
 }
 
 /// The manual truncation recovery must be equivalent to: keep only records
-/// with Lsn <= Cut in every shard file.
+/// with Lsn <= Cut.
 void truncateToLsn(const std::string &Dir, uint64_t Cut) {
-  for (const std::string &P : shardFilesBySize(Dir)) {
-    std::vector<WalRecord> Recs = readShard(P);
-    std::ofstream Out(P, std::ios::binary | std::ios::trunc);
-    for (const WalRecord &R : Recs)
-      if (R.Lsn <= Cut)
-        Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
-  }
+  std::vector<WalRecord> Recs = readLog(Dir);
+  while (!Recs.empty() && Recs.back().Lsn > Cut)
+    Recs.pop_back();
+  writeLog(Dir, Recs);
 }
 
 /// Core check: recovering the damaged dir equals recovering a pristine
@@ -243,12 +229,10 @@ TEST_F(WalRecoveryTest, UndamagedReplayMatchesLiveStateAndIsIdempotent) {
 
 TEST_F(WalRecoveryTest, TruncatedTailRecordIsNeverReplayed) {
   const std::string &D = damagedCopy();
-  std::vector<std::string> Files = shardFilesBySize(D);
-  ASSERT_FALSE(Files.empty());
-  // Tear the largest file mid-record: 13 bytes short of a full tail.
-  uint64_t Sz = fs::file_size(Files[0]);
+  // Tear the log mid-record: 13 bytes short of a full tail.
+  uint64_t Sz = fs::file_size(Wal::logFile(D));
   ASSERT_GT(Sz, 13u);
-  fs::resize_file(Files[0], Sz - 13);
+  fs::resize_file(Wal::logFile(D), Sz - 13);
 
   Recovered R = recoverDir(D);
   EXPECT_GE(R.Rec.TornRecords, 1u);
@@ -261,22 +245,16 @@ TEST_F(WalRecoveryTest, TruncatedTailRecordIsNeverReplayed) {
   EXPECT_EQ(Again.State, R.State);
 }
 
-TEST_F(WalRecoveryTest, BitFlippedChecksumCutsTheShardThere) {
+TEST_F(WalRecoveryTest, BitFlippedChecksumCutsTheLogThere) {
   const std::string &D = damagedCopy();
-  std::vector<std::string> Files = shardFilesBySize(D);
-  ASSERT_FALSE(Files.empty());
-  std::vector<WalRecord> Recs = readShard(Files[0]);
+  std::vector<WalRecord> Recs = readLog(D);
   ASSERT_GE(Recs.size(), 3u) << "need a mid-file record to damage";
   size_t Victim = Recs.size() / 2;
   Recs[Victim].Key ^= 1ull << 21; // Checksum now mismatches.
-  {
-    std::ofstream Out(Files[0], std::ios::binary | std::ios::trunc);
-    for (const WalRecord &R : Recs)
-      Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
-  }
+  writeLog(D, Recs);
 
   Recovered R = recoverDir(D);
-  // The flip kills the record and the shard's entire suffix behind it.
+  // The flip kills the record and the log's entire suffix behind it.
   EXPECT_GE(R.Rec.TornRecords, 1u);
   EXPECT_LT(R.Rec.CutLsn, Recs.back().Lsn);
   expectPrefixSemantics(Pristine, R, "bit-flip");
@@ -284,13 +262,11 @@ TEST_F(WalRecoveryTest, BitFlippedChecksumCutsTheShardThere) {
 
 TEST_F(WalRecoveryTest, DuplicatedTailRecordIsRejectedNotReplayedTwice) {
   const std::string &D = damagedCopy();
-  std::vector<std::string> Files = shardFilesBySize(D);
-  ASSERT_FALSE(Files.empty());
-  std::vector<WalRecord> Recs = readShard(Files[0]);
+  std::vector<WalRecord> Recs = readLog(D);
   ASSERT_FALSE(Recs.empty());
   {
     // A re-sent tail: checksum-valid, but (Lsn, Index) does not advance.
-    std::ofstream Out(Files[0], std::ios::binary | std::ios::app);
+    std::ofstream Out(Wal::logFile(D), std::ios::binary | std::ios::app);
     Out.write(reinterpret_cast<const char *>(&Recs.back()), sizeof(WalRecord));
   }
 
@@ -305,74 +281,68 @@ TEST_F(WalRecoveryTest, DuplicatedTailRecordIsRejectedNotReplayedTwice) {
 
 TEST_F(WalRecoveryTest, MissingGroupMemberCutsBeforeTheGroup) {
   const std::string &D = damagedCopy();
-  // Find the final transaction group (max LSN); the workload ends with an
-  // 8-key rmwAdd, so its records span several shard files.
-  uint64_t MaxLsn = 0;
-  for (const std::string &P : shardFilesBySize(D))
-    for (const WalRecord &R : readShard(P))
-      MaxLsn = std::max(MaxLsn, R.Lsn);
-  ASSERT_GT(MaxLsn, 0u);
-  std::vector<std::string> Holders;
-  for (const std::string &P : shardFilesBySize(D)) {
-    for (const WalRecord &R : readShard(P))
-      if (R.Lsn == MaxLsn) {
-        Holders.push_back(P);
-        break;
-      }
-  }
-  ASSERT_GE(Holders.size(), 2u) << "final group must span shards";
-  // Drop one shard's share of the group — the log-ahead-of-index shape: a
-  // crash persisted some of the group's files but not this one.
-  {
-    std::vector<WalRecord> Recs = readShard(Holders[0]);
-    std::ofstream Out(Holders[0], std::ios::binary | std::ios::trunc);
-    for (const WalRecord &R : Recs)
-      if (R.Lsn != MaxLsn)
-        Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
-  }
+  // The workload ends with an 8-key rmwAdd: one LSN, eight records. Cut
+  // the log at a record boundary inside that group — the crash landed
+  // between the writes of its members — keeping three of them.
+  std::vector<WalRecord> Recs = readLog(D);
+  ASSERT_GE(Recs.size(), 8u);
+  const uint64_t MaxLsn = Recs.back().Lsn;
+  ASSERT_EQ(Recs.back().span(), 8u);
+  const size_t GroupStart = Recs.size() - 8;
+  ASSERT_EQ(Recs[GroupStart].Lsn, MaxLsn);
+  ASSERT_EQ(Recs[GroupStart].index(), 0u);
+  fs::resize_file(Wal::logFile(D), (GroupStart + 3) * sizeof(WalRecord));
 
   Recovered R = recoverDir(D);
-  // The group is incomplete, so no part of it may replay — including the
-  // members that *did* survive in other shard files, which recovery must
-  // truncate away (>= one whole record).
-  EXPECT_LT(R.Rec.CutLsn, MaxLsn);
-  EXPECT_GE(R.Rec.TruncatedBytes, sizeof(WalRecord));
+  // The group is incomplete, so no member may replay, and the surviving
+  // members are truncated away. No record is torn: the cut is clean.
+  EXPECT_EQ(R.Rec.CutLsn, MaxLsn - 1);
+  EXPECT_EQ(R.Rec.TornRecords, 0u);
+  EXPECT_EQ(R.Rec.TruncatedBytes, 3 * sizeof(WalRecord));
   expectPrefixSemantics(Pristine, R, "missing-member");
-  for (const std::string &P : shardFilesBySize(D))
-    for (const WalRecord &Rec : readShard(P))
-      EXPECT_LT(Rec.Lsn, MaxLsn) << "surviving member not truncated: " << P;
+  for (const WalRecord &Rec : readLog(D))
+    EXPECT_LT(Rec.Lsn, MaxLsn) << "surviving member not truncated";
 
   Recovered Again = recoverDir(D);
   EXPECT_EQ(Again.Rec.TornRecords, 0u);
   EXPECT_EQ(Again.State, R.State);
 }
 
+TEST_F(WalRecoveryTest, LostMidLogCommitCutsAtTheHole) {
+  const std::string &D = damagedCopy();
+  // Remove one whole mid-log commit cleanly. Every record left is
+  // checksum-valid and (Lsn, Index)-ascending, so only the contiguity
+  // check can see that a commit is missing: the later ones must not
+  // replay past it.
+  std::vector<WalRecord> Recs = readLog(D);
+  size_t Victim = Recs.size() / 2;
+  while (Victim < Recs.size() && Recs[Victim].span() != 1)
+    ++Victim;
+  ASSERT_LT(Victim + 1, Recs.size()) << "need a later commit to cut away";
+  const uint64_t Lost = Recs[Victim].Lsn;
+  Recs.erase(Recs.begin() + long(Victim));
+  writeLog(D, Recs);
+
+  Recovered R = recoverDir(D);
+  EXPECT_EQ(R.Rec.CutLsn, Lost - 1);
+  EXPECT_EQ(R.Rec.TornRecords, 0u);
+  EXPECT_EQ(R.Rec.TruncatedBytes,
+            (Recs.size() - Victim) * sizeof(WalRecord));
+  expectPrefixSemantics(Pristine, R, "lost-mid-commit");
+}
+
 TEST_F(WalRecoveryTest, CorruptedFirstCommitCutsToEmptyNotAMidLogSuffix) {
   const std::string &D = damagedCopy();
   // The log's first commit (LSN 2, buildLog's first single-record insert)
-  // lives wholly in one shard file's first record. Find it.
-  std::string Holder;
-  uint64_t MinLsn = UINT64_MAX;
-  for (const std::string &P : shardFilesBySize(D)) {
-    std::vector<WalRecord> Recs = readShard(P);
-    if (!Recs.empty() && Recs.front().Lsn < MinLsn) {
-      MinLsn = Recs.front().Lsn;
-      Holder = P;
-    }
-  }
-  ASSERT_EQ(MinLsn, 2u) << "the retained prefix must start at LSN 2";
-  // Flip a bit in that record: its whole shard file scans to nothing, so
-  // LSN 2 vanishes from the merge while later complete single-shard
-  // groups survive in the other files. Replaying them (LSN 3+) would not
-  // be a prefix of the commit order — the cut must land before the
-  // missing first commit, i.e. replay nothing at all.
-  std::vector<WalRecord> Recs = readShard(Holder);
+  // is the file's first record.
+  std::vector<WalRecord> Recs = readLog(D);
+  ASSERT_FALSE(Recs.empty());
+  ASSERT_EQ(Recs.front().Lsn, 2u) << "the retained prefix must start at LSN 2";
+  // Flip a bit in that record: the later commits are intact, but
+  // replaying them (LSN 3+) would not be a prefix of the commit order —
+  // the cut must land before the lost first commit, i.e. replay nothing.
   Recs.front().Val ^= 1ull << 13;
-  {
-    std::ofstream Out(Holder, std::ios::binary | std::ios::trunc);
-    for (const WalRecord &R : Recs)
-      Out.write(reinterpret_cast<const char *>(&R), sizeof(R));
-  }
+  writeLog(D, Recs);
 
   Recovered R = recoverDir(D);
   EXPECT_GE(R.Rec.TornRecords, 1u);
@@ -380,8 +350,8 @@ TEST_F(WalRecoveryTest, CorruptedFirstCommitCutsToEmptyNotAMidLogSuffix) {
   EXPECT_EQ(R.Rec.TxnsReplayed, 0u);
   EXPECT_EQ(R.Rec.CutLsn, 0u);
   expectPrefixSemantics(Pristine, R, "first-commit-lost");
-  // The repair emptied every shard file; a second recovery is a clean
-  // empty-log pass.
+  // The repair emptied the log; a second recovery is a clean empty-log
+  // pass.
   Recovered Again = recoverDir(D);
   EXPECT_EQ(Again.Rec.RecordsScanned, 0u);
   EXPECT_EQ(Again.Rec.TornRecords, 0u);
@@ -409,7 +379,6 @@ TEST(WalSnapshotRecoveryTest, RecoverThenLogUnderSnapshotModeStaysContiguous) {
     prepopulate(*S);
     Wal::Config WC;
     WC.Dir = Dir;
-    WC.Shards = S->shards();
     Wal W(WC);
     W.start();
     S->attachWal(&W);
@@ -432,7 +401,6 @@ TEST(WalSnapshotRecoveryTest, RecoverThenLogUnderSnapshotModeStaysContiguous) {
     prepopulate(*S);
     Wal::Config WC;
     WC.Dir = Dir;
-    WC.Shards = S->shards();
     Wal W(WC);
     RecoveryStats Rec = W.recover(*S);
     ASSERT_EQ(Rec.ApplyFailures, 0u);

@@ -7,23 +7,34 @@
 // Unit coverage of the kv::Wal building blocks (DESIGN.md §12): the
 // on-disk record format and its checksum, the mode spellings the bench
 // harness and schema share, the append → group-commit drain → fsync
-// pipeline and its telemetry, the sync-ack waitDurable contract, and the
-// store-side gating that routes every write through the logged
-// transactional path while a Wal is attached. Crash and corruption
-// semantics live in WalRecoveryTest / CrashRecoveryTest.
+// pipeline and its telemetry, the one-file layout and its order, log
+// rotation racing live appends, the refusal of an old per-shard log
+// directory, the sync-ack waitDurable contract, and the store-side gating
+// that routes every write through the logged transactional path while a
+// Wal is attached. Crash and corruption semantics live in
+// WalRecoveryTest / CrashRecoveryTest.
 //
 //===----------------------------------------------------------------------===//
 
+#include "kv/Checkpoint.h"
 #include "kv/Store.h"
 #include "kv/Wal.h"
 
 #include "stm/Config.h"
+#include "stm/Snapshot.h"
 
 #include "gtest/gtest.h"
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -100,7 +111,6 @@ TEST(Wal, AppendDrainFsyncAccountsEveryRecord) {
 
   Wal::Config WC;
   WC.Dir = scratchDir("drain");
-  WC.Shards = S.shards();
   Wal W(WC);
   W.start();
   S.attachWal(&W);
@@ -129,15 +139,166 @@ TEST(Wal, AppendDrainFsyncAccountsEveryRecord) {
   S.attachWal(nullptr);
   W.stop();
 
-  // The bytes really are in the shard files, 40-byte aligned.
-  uint64_t OnDisk = 0;
-  for (uint32_t Sd = 0; Sd < WC.Shards; ++Sd) {
-    std::error_code Ec;
-    uint64_t Sz = std::filesystem::file_size(W.shardFile(Sd), Ec);
-    if (!Ec)
-      OnDisk += Sz;
+  // The bytes really are in the log file, 40-byte aligned.
+  EXPECT_EQ(std::filesystem::file_size(Wal::logFile(WC.Dir)), St.BytesWritten);
+  std::filesystem::remove_all(WC.Dir);
+}
+
+std::vector<WalRecord> readLog(const std::string &Path) {
+  std::vector<WalRecord> Out;
+  std::ifstream In(Path, std::ios::binary);
+  WalRecord R;
+  while (In.read(reinterpret_cast<char *>(&R), sizeof(R)))
+    Out.push_back(R);
+  return Out;
+}
+
+TEST(Wal, EveryShardWritesIntoOneOrderedLogFile) {
+  Config Cfg;
+  Cfg.DeaEnabled = true;
+  ScopedConfig SC(Cfg);
+
+  rt::Heap H;
+  StoreConfig KC;
+  KC.Shards = 16;
+  KC.CapacityPerShard = 64;
+  Store S(H, KC);
+
+  Wal::Config WC;
+  WC.Dir = scratchDir("onefile");
+  Wal W(WC);
+  W.start();
+  S.attachWal(&W);
+
+  // Insert until every shard holds a key, then log multi-shard groups.
+  std::vector<bool> Hit(S.shards(), false);
+  uint32_t Hits = 0;
+  Word K = 1;
+  for (; Hits < S.shards(); ++K) {
+    ASSERT_TRUE(S.insert(K, K));
+    if (!Hit[S.shardOf(K)]) {
+      Hit[S.shardOf(K)] = true;
+      ++Hits;
+    }
   }
-  EXPECT_EQ(OnDisk, St.BytesWritten);
+  for (Word R = 1; R < 9; ++R) {
+    Word Keys[4] = {R, R + 8, R + 16, R + 24};
+    ASSERT_TRUE(S.rmwAdd(Keys, 4, 1));
+  }
+  W.waitDurable(Wal::lastAppendedLsn());
+  S.attachWal(nullptr);
+  W.stop();
+
+  size_t Files = 0;
+  for (const auto &E : std::filesystem::directory_iterator(WC.Dir)) {
+    ++Files;
+    EXPECT_EQ(E.path().string(), Wal::logFile(WC.Dir));
+  }
+  EXPECT_EQ(Files, 1u) << "one log file whatever the shard count";
+  WalStats St = W.stats();
+  EXPECT_EQ(std::filesystem::file_size(Wal::logFile(WC.Dir)), St.BytesWritten);
+
+  std::vector<WalRecord> Recs = readLog(Wal::logFile(WC.Dir));
+  ASSERT_EQ(Recs.size(), St.RecordsWritten);
+  ASSERT_EQ(Recs.size(), size_t(K - 1) + 8 * 4);
+  for (size_t I = 0; I < Recs.size(); ++I) {
+    EXPECT_EQ(Recs[I].Check, Recs[I].checksum()) << I;
+    if (I == 0)
+      continue;
+    const WalRecord &P = Recs[I - 1], &R = Recs[I];
+    EXPECT_TRUE(P.Lsn < R.Lsn || (P.Lsn == R.Lsn && P.index() < R.index()))
+        << "record " << I << " does not advance (Lsn, Index)";
+  }
+  std::filesystem::remove_all(WC.Dir);
+}
+
+TEST(Wal, TruncateBelowRacingAnAppenderKeepsEveryLaterRecord) {
+  Config Cfg;
+  Cfg.DeaEnabled = true;
+  Cfg.SnapshotEnabled = true; // The checkpointer's scan pins an epoch.
+  ScopedConfig SC(Cfg);
+  constexpr Word NumKeys = 256;
+  const int Rounds = std::getenv("SATM_FAST_TESTS") ? 20 : 60;
+  StoreConfig KC;
+  KC.Shards = 4;
+  KC.CapacityPerShard = 256;
+  auto Dump = [](const Store &S) {
+    std::map<Word, Word> Out;
+    for (Word Key = 0; Key < NumKeys; ++Key) {
+      Word V = 0;
+      if (S.get(Key, V))
+        Out[Key] = V;
+    }
+    return Out;
+  };
+
+  std::map<Word, Word> Live;
+  uint64_t LastLsn = 0;
+  Wal::Config WC;
+  WC.Dir = scratchDir("rotate");
+  WC.FlushIntervalUs = 100;
+  {
+    rt::Heap H;
+    Store S(H, KC);
+    Wal W(WC);
+    W.start();
+    S.attachWal(&W);
+    Checkpointer CP(S, W, Checkpointer::Config{}); // Explicit runOnce only.
+
+    // One thread overwrites keys round-robin while this one checkpoints:
+    // from the second checkpoint on, each rotates the log below the
+    // previous barrier (truncateBelow) while appends keep landing.
+    std::atomic<bool> Done{false};
+    std::thread Appender([&] {
+      for (Word I = 0; !Done.load(std::memory_order_relaxed); ++I)
+        ASSERT_TRUE(S.put(I % NumKeys, I + 1));
+      LastLsn = Wal::lastAppendedLsn();
+    });
+    for (int R = 0; R < Rounds; ++R) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ASSERT_TRUE(CP.runOnce());
+    }
+    Done.store(true);
+    Appender.join();
+    W.waitDurable(LastLsn);
+    S.attachWal(nullptr);
+    W.stop();
+    EXPECT_GT(CP.stats().WalTruncatedBytes, 0u) << "no rotation happened";
+    EXPECT_FALSE(W.stats().Degraded);
+    Live = Dump(S);
+    snap::resetTable();
+  }
+  // Recovery demands every LSN from the newest barrier + 1 to the last
+  // append: a record lost between the bulk copy and the locked tail copy
+  // would cut the replay short of LastLsn or leave a key stale.
+  rt::Heap H;
+  Store S(H, KC);
+  Wal W(WC);
+  RecoveryStats Rec = W.recover(S);
+  EXPECT_EQ(Rec.TornRecords, 0u);
+  EXPECT_EQ(Rec.ApplyFailures, 0u);
+  EXPECT_EQ(Rec.CutLsn, LastLsn);
+  EXPECT_EQ(Dump(S), Live);
+  snap::resetTable();
+  std::filesystem::remove_all(WC.Dir);
+}
+
+TEST(Wal, RecoverRefusesAnOldPerShardLogDirectory) {
+  Config Cfg;
+  Cfg.DeaEnabled = true;
+  ScopedConfig SC(Cfg);
+  rt::Heap H;
+  StoreConfig KC;
+  KC.Shards = 2;
+  KC.CapacityPerShard = 32;
+  Store S(H, KC);
+
+  Wal::Config WC;
+  WC.Dir = scratchDir("oldlayout");
+  std::filesystem::create_directories(WC.Dir);
+  std::ofstream(WC.Dir + "/shard-0000.wal").put('x');
+  Wal W(WC);
+  EXPECT_THROW(W.recover(S), WalLayoutError);
   std::filesystem::remove_all(WC.Dir);
 }
 
@@ -158,7 +319,6 @@ TEST(Wal, AttachedStoreRefusesRawFastPaths) {
 
   Wal::Config WC;
   WC.Dir = scratchDir("gate");
-  WC.Shards = S.shards();
   Wal W(WC);
   W.start();
   S.attachWal(&W);

@@ -136,7 +136,6 @@ int chaosChild(const char *Dir) {
 
   kv::Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S.shards();
   WC.FlushIntervalUs = 200; // Short group-commit window: more fsyncs hit.
   kv::Wal W(WC);
   kv::RecoveryStats Rec = W.recover(S); // recovery_replay kills land here.
@@ -287,7 +286,6 @@ void verifyRecovered(const std::string &Dir, const DriveLedger &L, int Iter,
   ASSERT_TRUE(prepopulate(S));
   kv::Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S.shards();
   kv::Wal W(WC);
   kv::RecoveryStats Rec = W.recover(S);
   EXPECT_EQ(Rec.ApplyFailures, 0u) << "iter " << Iter << " (" << Spec << ")";
@@ -394,7 +392,7 @@ TEST_F(NetChaosTest, SeededKillLoopUnderTcpLoad) {
 
 TEST_F(NetChaosTest, SeededEnospcDegradesWithoutAborting) {
   // No kill mode: the armed site seals the WAL instead (an injected
-  // ENOSPC on a shard drain), and the server must keep running.
+  // ENOSPC on a log drain), and the server must keep running.
   std::filesystem::remove(portFile(Dir));
   pid_t Pid = spawnChild(Dir, "seed=17,log_enospc=0.2");
   ASSERT_GE(Pid, 0);
@@ -453,7 +451,6 @@ TEST_F(NetChaosTest, SeededEnospcDegradesWithoutAborting) {
   ASSERT_TRUE(prepopulate(S));
   kv::Wal::Config WC;
   WC.Dir = Dir;
-  WC.Shards = S.shards();
   kv::Wal W(WC);
   kv::RecoveryStats Rec = W.recover(S);
   EXPECT_EQ(Rec.ApplyFailures, 0u);
